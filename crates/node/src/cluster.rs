@@ -5,10 +5,10 @@
 //! sessions, per-session nonces), one **ordering service** (mempool
 //! admission → deterministic batching → sealing → replication/voting →
 //! delivery), optional Kafka follower brokers, and R **replicas**
-//! applying sealed blocks in order. A replica is either flat
-//! ([`ReplicaNode`]) or — when a [`ShardTopology`] is configured — a
-//! [`ShardedReplicaNode`] hosting M shards behind the same ordered
-//! stream, making the harness an N×M deployment.
+//! applying sealed blocks in order. Every replica is a [`ReplicaNode`]:
+//! flat (one partition) by default, or — when a [`ShardTopology`] is
+//! configured — hosting M shards behind the same ordered stream, making
+//! the harness an N×M deployment.
 //!
 //! Scenario hooks: a [`FaultSchedule`] (see [`crate::fault`]) injects
 //! typed faults mid-run — multiple crash/rejoin cycles ([`CrashPlan`] is
@@ -38,8 +38,7 @@ use std::sync::Arc;
 
 use harmony_chain::ChainBlock;
 use harmony_common::{BlockId, Error, Result};
-use harmony_consensus::net::{DeliveryLog, EventLoop, LatencyModel, SimNode, Transport};
-use harmony_core::BlockStats;
+use harmony_consensus::net::{EventLoop, LatencyModel, SimNode, Transport};
 use harmony_crypto::{CryptoCost, Digest, KeyPair};
 use harmony_metrics::{doubling_buckets, Counter, Histogram, Registry, Timeline};
 use harmony_shard::{Partitioning, PlannerMetrics, ReshardMarker};
@@ -53,12 +52,11 @@ use harmony_workloads::{
 
 use crate::fault::{FaultEvent, FaultSchedule, ReshardSchedule};
 use crate::mempool::{Mempool, MempoolConfig, MempoolMetrics, MempoolStats};
-use crate::metrics::{shard_txn_counters, ReplicaMetrics, ROOT_FOLD_NS};
+use crate::metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters, ROOT_FOLD_NS};
 use crate::replica::{Applied, ReplicaConfig, ReplicaNode};
-use crate::sharded::{ShardedReplicaConfig, ShardedReplicaNode};
+use crate::sharded::ShardedReplicaConfig;
 use crate::statesync::{
-    apply_sharded_sync, apply_sync, serve_sharded_sync, serve_sync, RetryPolicy,
-    ShardedSyncResponse, SyncPolicy, SyncResponse,
+    apply_sharded_sync, serve_sharded_sync, RetryPolicy, ShardedSyncResponse, SyncPolicy,
 };
 
 /// Workload selector for a cluster run (workload + its contract codec).
@@ -242,9 +240,9 @@ pub struct ClusterConfig {
     pub replicas: usize,
     /// Per-replica configuration (engine, workers, chain, gossip).
     pub replica: ReplicaConfig,
-    /// Sharded execution topology: `Some` makes every replica a
-    /// [`ShardedReplicaNode`] with M shards (N×M deployment), `None`
-    /// keeps flat replicas.
+    /// Sharded execution topology: `Some` lays every replica out over M
+    /// shards (N×M deployment), `None` keeps flat (one-partition)
+    /// replicas.
     pub topology: Option<ShardTopology>,
     /// The workload and its codec.
     pub workload: ClusterWorkload,
@@ -436,19 +434,20 @@ pub enum Msg {
         /// The gossiped state root.
         root: Digest,
     },
-    /// Lagging replica → peer (flat: chain height; sharded: per-shard
-    /// heights). `epoch` tags the requester's sync attempt so stale
-    /// replies (late after a timeout-driven failover) are discarded.
+    /// Lagging replica → peer: its per-shard chain heights, in shard
+    /// order (one height on a flat replica). `epoch` tags the requester's
+    /// sync attempt so stale replies (late after a timeout-driven
+    /// failover) are discarded.
     SyncRequest {
-        /// The requester's position.
-        from: SyncFrom,
+        /// The requester's per-shard heights.
+        from: Vec<BlockId>,
         /// The requester's sync-attempt epoch.
         epoch: u64,
     },
     /// Peer → lagging replica.
     SyncReply {
         /// The served manifest/range payload.
-        response: Arc<SyncReplyBody>,
+        response: Arc<ShardedSyncResponse>,
         /// Echo of the request's epoch.
         epoch: u64,
     },
@@ -484,64 +483,6 @@ pub enum Msg {
         /// The contract, returned for resubmission.
         contract: Arc<dyn Contract>,
     },
-}
-
-/// The requester's position in a sync request.
-#[derive(Clone, Debug)]
-pub enum SyncFrom {
-    /// Flat replica: its chain height.
-    Flat(u64),
-    /// Sharded replica: per-shard chain heights, in shard order.
-    Sharded(Vec<BlockId>),
-}
-
-/// The serving peer's answer, matching the cluster's replica kind.
-pub enum SyncReplyBody {
-    /// Answer to a flat requester.
-    Flat(SyncResponse),
-    /// Answer to a sharded requester.
-    Sharded(ShardedSyncResponse),
-}
-
-impl SyncReplyBody {
-    /// Modeled transfer size in bytes.
-    #[must_use]
-    pub fn transfer_bytes(&self) -> u64 {
-        match self {
-            SyncReplyBody::Flat(r) => r.transfer_bytes(),
-            SyncReplyBody::Sharded(r) => r.transfer_bytes(),
-        }
-    }
-
-    /// Bytes attributable to checkpoint-manifest installs. Together with
-    /// [`SyncReplyBody::range_bytes`] this partitions `transfer_bytes`
-    /// exactly, so per-path accounting never double-counts.
-    #[must_use]
-    pub fn manifest_bytes(&self) -> u64 {
-        match self {
-            SyncReplyBody::Flat(r) => r.manifest_bytes(),
-            SyncReplyBody::Sharded(r) => r.manifest_bytes(),
-        }
-    }
-
-    /// Bytes attributable to block-range replay (the remainder of
-    /// `transfer_bytes` after manifests).
-    #[must_use]
-    pub fn range_bytes(&self) -> u64 {
-        match self {
-            SyncReplyBody::Flat(r) => r.range_bytes(),
-            SyncReplyBody::Sharded(r) => r.range_bytes(),
-        }
-    }
-
-    /// Number of blocks shipped.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        match self {
-            SyncReplyBody::Flat(r) => r.block_count(),
-            SyncReplyBody::Sharded(r) => r.block_count(),
-        }
-    }
 }
 
 const TIMER_CLIENT: u64 = 1;
@@ -947,192 +888,6 @@ enum ReplicaState {
     Syncing,
 }
 
-/// A replica is either flat (one engine) or sharded (M per-shard chains).
-/// The wrapper drives both through one interface so the harness, crash
-/// plans, and measurement code are topology-agnostic.
-enum NodeKind {
-    Flat(Box<ReplicaNode>),
-    Sharded(Box<ShardedReplicaNode>),
-}
-
-impl NodeKind {
-    fn deliver(&mut self, block: Arc<ChainBlock>) -> Result<Vec<Applied>> {
-        match self {
-            NodeKind::Flat(n) => n.deliver(block),
-            NodeKind::Sharded(n) => n.deliver(block),
-        }
-    }
-
-    fn height(&self) -> BlockId {
-        match self {
-            NodeKind::Flat(n) => n.height(),
-            NodeKind::Sharded(n) => n.height(),
-        }
-    }
-
-    /// The root this replica's summary reports (and that consistency
-    /// checks compare): the full-state root on flat replicas, the sharded
-    /// Merkle fold on sharded ones.
-    fn report_root(&self) -> Result<Digest> {
-        match self {
-            NodeKind::Flat(n) => n.state_root(),
-            NodeKind::Sharded(n) => n.sharded_root(),
-        }
-    }
-
-    /// Shard-count-invariant digest of the logical database (equals the
-    /// full-state root on a flat replica).
-    fn logical_root(&self) -> Result<Digest> {
-        match self {
-            NodeKind::Flat(n) => n.state_root(),
-            NodeKind::Sharded(n) => n.logical_state_root(),
-        }
-    }
-
-    /// Per-table digests of the logical database — the table-granular
-    /// decomposition of [`NodeKind::logical_root`], shard-count-invariant
-    /// on sharded replicas.
-    fn logical_table_heads(&self) -> Result<Vec<(String, Digest)>> {
-        match self {
-            NodeKind::Flat(n) => {
-                harmony_shard::logical_table_heads(std::iter::once(n.chain().engine()))
-            }
-            NodeKind::Sharded(n) => n.logical_table_heads(),
-        }
-    }
-
-    /// Shard chains this replica currently hosts (1 on flat replicas).
-    fn hosted_shards(&self) -> usize {
-        match self {
-            NodeKind::Flat(_) => 1,
-            NodeKind::Sharded(n) => n.shards(),
-        }
-    }
-
-    /// Topology epoch: reshard markers applied so far (0 on flat replicas
-    /// and on sharded runs with a static topology).
-    fn reshard_epoch(&self) -> u64 {
-        match self {
-            NodeKind::Flat(_) => 0,
-            NodeKind::Sharded(n) => n.epoch(),
-        }
-    }
-
-    /// Full-scan audit recomputation of [`NodeKind::report_root`]: builds
-    /// the commitment from the engines rather than reading the cached
-    /// fold. Must always equal `report_root` — the e2e suites assert it.
-    fn oracle_root(&self) -> Result<Digest> {
-        match self {
-            NodeKind::Flat(n) => harmony_chain::state_root(n.chain().engine()),
-            NodeKind::Sharded(n) => n.sharded_root_oracle(),
-        }
-    }
-
-    fn pending_gap(&self) -> usize {
-        match self {
-            NodeKind::Flat(n) => n.pending_gap(),
-            NodeKind::Sharded(n) => n.pending_gap(),
-        }
-    }
-
-    /// Highest root-gossip height heard from any peer.
-    fn peer_frontier(&self) -> u64 {
-        match self {
-            NodeKind::Flat(n) => n.peer_frontier(),
-            NodeKind::Sharded(n) => n.peer_frontier(),
-        }
-    }
-
-    /// Lowest gossip height at which ≥ `quorum` peers dispute this
-    /// replica's own root, if any.
-    fn quarantine_signal(&self, quorum: u32) -> Option<u64> {
-        match self {
-            NodeKind::Flat(n) => n.quarantine_signal(quorum),
-            NodeKind::Sharded(n) => n.quarantine_signal(quorum),
-        }
-    }
-
-    /// Corrupt the next gossiped (and self-tracked) root — fault
-    /// injection for the quarantine path; chain state stays intact.
-    fn poison_next_gossip(&mut self) {
-        match self {
-            NodeKind::Flat(n) => n.poison_next_gossip(),
-            NodeKind::Sharded(n) => n.poison_next_gossip(),
-        }
-    }
-
-    /// Drop all local state back to genesis (pending deliveries kept)
-    /// so the next state-sync re-bootstraps from a peer's manifest.
-    fn wipe_for_resync(&mut self) -> Result<()> {
-        match self {
-            NodeKind::Flat(n) => n.wipe_for_resync(),
-            NodeKind::Sharded(n) => n.wipe_for_resync(),
-        }
-    }
-
-    fn on_peer_root(&mut self, height: u64, root: Digest) {
-        match self {
-            NodeKind::Flat(n) => n.on_peer_root(height, root),
-            NodeKind::Sharded(n) => n.on_peer_root(height, root),
-        }
-    }
-
-    fn divergence_alarms(&self) -> u64 {
-        match self {
-            NodeKind::Flat(n) => n.divergence_alarms(),
-            NodeKind::Sharded(n) => n.divergence_alarms(),
-        }
-    }
-
-    fn delivery_log(&self) -> &DeliveryLog {
-        match self {
-            NodeKind::Flat(n) => n.delivery_log(),
-            NodeKind::Sharded(n) => n.delivery_log(),
-        }
-    }
-
-    fn stats(&self) -> &BlockStats {
-        match self {
-            NodeKind::Flat(n) => n.stats(),
-            NodeKind::Sharded(n) => n.stats(),
-        }
-    }
-
-    fn crash(&mut self) {
-        match self {
-            NodeKind::Flat(n) => n.crash(),
-            NodeKind::Sharded(n) => n.crash(),
-        }
-    }
-
-    fn recover_local(&mut self) -> Result<()> {
-        match self {
-            NodeKind::Flat(n) => n.recover_local(),
-            NodeKind::Sharded(n) => n.recover_local(),
-        }
-    }
-
-    fn sync_from(&self) -> SyncFrom {
-        match self {
-            NodeKind::Flat(n) => SyncFrom::Flat(n.height().0),
-            NodeKind::Sharded(n) => SyncFrom::Sharded(n.shard_heights()),
-        }
-    }
-
-    fn io_snapshot(&self) -> IoSnapshot {
-        match self {
-            NodeKind::Flat(n) => n.chain().engine().io_snapshot(),
-            NodeKind::Sharded(n) => {
-                let mut io = IoSnapshot::default();
-                for s in 0..n.shards() {
-                    io.absorb(&n.shard_chain(s).engine().io_snapshot());
-                }
-                io
-            }
-        }
-    }
-}
-
 /// Cluster-level per-replica metric handles: commit/order latency
 /// histograms (virtual ns) and state-sync path counters. Registered per
 /// replica in [`Cluster::run`]; the underlying cells live in the shared
@@ -1228,12 +983,12 @@ impl WrapMetrics {
     }
 }
 
-/// One replica node (flat or sharded) plus its cluster-side state
-/// machine: up/down/syncing, sync retry/failover/quarantine bookkeeping,
-/// and latency measurement. Public so a real-transport runtime can host
-/// one as an OS process; internals stay private.
+/// One replica node plus its cluster-side state machine: up/down/syncing,
+/// sync retry/failover/quarantine bookkeeping, and latency measurement.
+/// Public so a real-transport runtime can host one as an OS process;
+/// internals stay private.
 pub struct ReplicaWrap {
-    node: NodeKind,
+    node: ReplicaNode,
     state: ReplicaState,
     metrics: WrapMetrics,
     meta: HashMap<u64, (u64, u64)>,
@@ -1330,7 +1085,7 @@ impl ReplicaWrap {
         ctx.send(
             peer,
             Msg::SyncRequest {
-                from: self.node.sync_from(),
+                from: self.node.shard_heights(),
                 epoch: self.sync_epoch,
             },
             64,
@@ -1397,7 +1152,7 @@ pub enum ClusterNode {
     Orderer(Box<Orderer>),
     /// A Kafka follower broker (pure ack logic, no state).
     Follower,
-    /// A replica, flat or sharded.
+    /// A replica.
     Replica(Box<ReplicaWrap>),
 }
 
@@ -1542,23 +1297,7 @@ impl SimNode<Msg> for ClusterNode {
                         ctx.send(from, Msg::SyncRefused { epoch }, 32);
                         return;
                     }
-                    let served = match (&r.node, origin) {
-                        (NodeKind::Flat(peer), SyncFrom::Flat(height)) => {
-                            serve_sync(peer, BlockId(height), r.sync_policy)
-                                .map(SyncReplyBody::Flat)
-                        }
-                        (NodeKind::Sharded(peer), SyncFrom::Sharded(heights)) => {
-                            serve_sharded_sync(peer, &heights, r.sync_policy)
-                                .map(SyncReplyBody::Sharded)
-                        }
-                        // A request of the wrong kind (misconfigured or
-                        // hostile peer): refuse it rather than assert
-                        // topology homogeneity on network input.
-                        _ => Err(Error::InvalidArgument(
-                            "sync request kind does not match this replica".into(),
-                        )),
-                    };
-                    let response = match served {
+                    let response = match serve_sharded_sync(&r.node, &origin, r.sync_policy) {
                         Ok(response) => response,
                         Err(_) => {
                             r.metrics.node_errors.inc();
@@ -1590,57 +1329,24 @@ impl SimNode<Msg> for ClusterNode {
                     if r.state != ReplicaState::Syncing || epoch != r.sync_epoch {
                         return;
                     }
-                    let applied = match (&mut r.node, response.as_ref()) {
-                        (NodeKind::Flat(node), SyncReplyBody::Flat(resp)) => {
-                            // One flat response is one part; which path it
-                            // took is visible from its byte split.
-                            let path = usize::from(resp.manifest_bytes() == 0);
-                            match apply_sync(node, resp) {
-                                Ok(applied) => {
-                                    r.metrics.sync_requests[path].inc();
-                                    applied
-                                }
-                                Err(_) => {
-                                    // A corrupt or inapplicable reply is a
-                                    // failed attempt: fail over to the
-                                    // next candidate peer.
-                                    r.metrics.node_errors.inc();
-                                    r.sync_setback(ctx);
-                                    return;
-                                }
-                            }
-                        }
-                        (NodeKind::Sharded(node), SyncReplyBody::Sharded(resp)) => {
-                            match apply_sharded_sync(node, resp) {
-                                Ok(applied) => {
-                                    r.sync_manifest_shards += applied.manifest_shards;
-                                    r.sync_range_shards += applied.range_shards;
-                                    r.metrics.sync_requests[0].add(applied.manifest_shards);
-                                    r.metrics.sync_requests[1].add(applied.range_shards);
-                                    applied.blocks
-                                }
-                                Err(_) => {
-                                    r.metrics.node_errors.inc();
-                                    r.sync_setback(ctx);
-                                    return;
-                                }
-                            }
-                        }
-                        // A reply of the wrong kind cannot be applied:
-                        // treat it like a failed attempt and fail over
-                        // instead of asserting on network input.
-                        _ => {
+                    let applied = match apply_sharded_sync(&mut r.node, &response) {
+                        Ok(applied) => applied,
+                        Err(_) => {
+                            // A corrupt or inapplicable reply is a failed
+                            // attempt: fail over to the next candidate.
                             r.metrics.node_errors.inc();
                             r.sync_setback(ctx);
                             return;
                         }
                     };
-                    // Satellite fix: transfer bytes split exactly by path
-                    // instead of one aggregate counter for both.
+                    r.sync_manifest_shards += applied.manifest_shards;
+                    r.sync_range_shards += applied.range_shards;
+                    r.metrics.sync_requests[0].add(applied.manifest_shards);
+                    r.metrics.sync_requests[1].add(applied.range_shards);
                     r.metrics.sync_bytes[0].add(response.manifest_bytes());
                     r.metrics.sync_bytes[1].add(response.range_bytes());
-                    ctx.charge_cpu(SYNC_REPLAY_NS_PER_BLOCK * applied);
-                    r.sync_blocks += applied;
+                    ctx.charge_cpu(SYNC_REPLAY_NS_PER_BLOCK * applied.blocks);
+                    r.sync_blocks += applied.blocks;
                     r.last_apply_ns = r.last_apply_ns.max(ctx.now());
                     if r.node.pending_gap() == 0 {
                         r.sync_complete();
@@ -1745,10 +1451,10 @@ pub struct ReplicaSummary {
     /// Blocks it obtained via state-sync.
     pub sync_blocks: u64,
     /// Shards it re-bootstrapped via checkpoint-manifest install during
-    /// state-sync (sharded runs only).
+    /// state-sync (a flat replica is one shard).
     pub sync_manifest_shards: u64,
     /// Shards it caught up via block-range replay during state-sync
-    /// (sharded runs only).
+    /// (a flat replica is one shard).
     pub sync_range_shards: u64,
     /// State-sync bytes received via the checkpoint-manifest path.
     pub sync_manifest_bytes: u64,
@@ -1996,41 +1702,38 @@ pub fn build_node(
             layout.total()
         )));
     }
-    let node = match cfg.topology {
-        None => {
-            let mut n = ReplicaNode::new(&cfg.replica, |engine| cfg.workload.setup_node(engine))?;
-            n.set_metrics(ReplicaMetrics::register(registry, r));
-            NodeKind::Flat(Box::new(n))
-        }
-        Some(topology) => {
-            let sharded_cfg = ShardedReplicaConfig {
-                chain: cfg.replica.chain.clone(),
-                engine: cfg.replica.engine,
-                workers: cfg.replica.workers,
-                shards: topology.shards.max(1),
-                partitions: topology.partitions,
-                partitioning: topology
-                    .partitioning
-                    .unwrap_or_else(|| cfg.workload.recommended_partitioning()),
-                replicated_tables: cfg.workload.replicated_tables(),
-                checkpoint_stagger: topology.checkpoint_stagger,
-                latency: cfg.latency.clone(),
-                gossip_every: cfg.replica.gossip_every,
-            };
-            let mut n =
-                ShardedReplicaNode::new(&sharded_cfg, |engine| cfg.workload.setup_node(engine))?;
-            let shards = topology.shards.max(1);
-            let id = r.to_string();
-            n.set_metrics(
-                ReplicaMetrics::register(registry, r),
-                (0..shards)
-                    .map(|s| shard_txn_counters(registry, r, s))
-                    .collect(),
-                PlannerMetrics::register(registry, &[("replica", id.as_str())]),
-            );
-            NodeKind::Sharded(Box::new(n))
-        }
+    let layout_cfg = match cfg.topology {
+        None => ShardedReplicaConfig::from(&cfg.replica),
+        Some(topology) => ShardedReplicaConfig {
+            chain: cfg.replica.chain.clone(),
+            engine: cfg.replica.engine,
+            workers: cfg.replica.workers,
+            shards: topology.shards.max(1),
+            partitions: topology.partitions,
+            partitioning: topology
+                .partitioning
+                .unwrap_or_else(|| cfg.workload.recommended_partitioning()),
+            replicated_tables: cfg.workload.replicated_tables(),
+            checkpoint_stagger: topology.checkpoint_stagger,
+            latency: cfg.latency.clone(),
+            gossip_every: cfg.replica.gossip_every,
+        },
     };
+    let mut node = ReplicaNode::new(&layout_cfg, |engine| cfg.workload.setup_node(engine))?;
+    let replica_metrics = ReplicaMetrics::register(registry, r);
+    // Flat deployments expose no per-shard or cross-shard families.
+    let (per_shard, planner) = if cfg.topology.is_some() {
+        let id = r.to_string();
+        (
+            (0..layout_cfg.shards)
+                .map(|s| shard_txn_counters(registry, r, s))
+                .collect(),
+            PlannerMetrics::register(registry, &[("replica", id.as_str())]),
+        )
+    } else {
+        (vec![TxnCounters::detached()], PlannerMetrics::detached())
+    };
+    node.set_metrics(replica_metrics, per_shard, planner);
     let peers: Vec<usize> = (0..cfg.replicas)
         .filter(|&p| p != r)
         .map(|p| layout.replica(p))
@@ -2088,7 +1791,8 @@ pub struct NodeStatus {
     /// Chain height: highest sealed block on the orderer, highest
     /// applied block on a replica.
     pub height: u64,
-    /// Replica report root (hex; sharded fold on sharded replicas).
+    /// Replica report root (hex; sharded fold on multi-partition
+    /// replicas).
     /// Empty on non-replica roles and on crashed replicas.
     pub root: String,
     /// Shard-count-invariant logical database digest (hex; empty where
@@ -2164,10 +1868,10 @@ impl ClusterNode {
                 s.recoveries = w.recoveries;
                 s.sync_blocks = w.sync_blocks;
                 if w.state != ReplicaState::Down {
-                    if let Ok(root) = w.node.report_root() {
+                    if let Ok(root) = w.node.state_root() {
                         s.root = root.to_hex();
                     }
-                    if let Ok(root) = w.node.logical_root() {
+                    if let Ok(root) = w.node.logical_state_root() {
                         s.logical_root = root.to_hex();
                     }
                 }
@@ -2177,7 +1881,7 @@ impl ClusterNode {
     }
 
     /// Describe one sealed block held by this replica: chain of shard
-    /// `shard` (ignored on flat replicas), block id `seq`. `None` when
+    /// `shard` (0 on flat replicas), block id `seq`. `None` when
     /// this node hosts no such block — non-replica roles, a crashed
     /// replica, an out-of-range shard, or a height not (or no longer)
     /// in the chain.
@@ -2189,15 +1893,10 @@ impl ClusterNode {
         if w.state == ReplicaState::Down {
             return None;
         }
-        let chain = match &w.node {
-            NodeKind::Flat(n) => n.chain(),
-            NodeKind::Sharded(n) => {
-                if shard >= n.shards() {
-                    return None;
-                }
-                n.shard_chain(shard)
-            }
-        };
+        if shard >= w.node.shards() {
+            return None;
+        }
+        let chain = w.node.shard_chain(shard);
         let block = chain
             .blocks_after(BlockId(seq.saturating_sub(1)))
             .ok()?
@@ -2368,9 +2067,9 @@ impl Cluster {
             replicas.push(ReplicaSummary {
                 replica: r,
                 height: w.node.height(),
-                root: w.node.report_root()?,
-                logical_root: w.node.logical_root()?,
-                oracle_root: w.node.oracle_root()?,
+                root: w.node.state_root()?,
+                logical_root: w.node.logical_state_root()?,
+                oracle_root: w.node.sharded_root_oracle()?,
                 delivered: w.node.delivery_log().len(),
                 alarms: w.node.divergence_alarms(),
                 recoveries: w.recoveries,
@@ -2382,8 +2081,8 @@ impl Cluster {
                 sync_manifest_bytes: w.metrics.sync_bytes[0].get(),
                 sync_range_bytes: w.metrics.sync_bytes[1].get(),
                 table_heads: w.node.logical_table_heads()?,
-                reshards: w.node.reshard_epoch(),
-                hosted_shards: w.node.hosted_shards(),
+                reshards: w.node.epoch(),
+                hosted_shards: w.node.shards(),
             });
         }
         let consistent = replicas
@@ -2416,7 +2115,10 @@ impl Cluster {
         } else {
             obs.committed_weighted_order_ns / committed as f64 / 1e6
         };
-        let io = obs.node.io_snapshot();
+        let mut io = IoSnapshot::default();
+        for s in 0..obs.node.shards() {
+            io.absorb(&obs.node.shard_chain(s).engine().io_snapshot());
+        }
         let metrics = RunMetrics {
             system: Cow::Owned(system),
             throughput_tps: committed as f64 / (wall_ns as f64 / 1e9),

@@ -8,14 +8,19 @@
 //! * [`mempool`] — the client-facing frontend: sessions, per-session
 //!   nonces, duplicate/gap rejection, bounded-queue backpressure, and
 //!   deterministic FIFO batching.
-//! * [`replica`] — [`ReplicaNode`]: an [`harmony_chain::OeChain`]
-//!   (storage + snapshots + any of the five DCC engines) consuming sealed
-//!   blocks with ordered delivery (gap buffering), a verified delivery
-//!   log, pipeline-aware virtual-time cost accounting, and state-root
-//!   gossip for divergence detection.
-//! * [`statesync`] — how a lagging replica catches up: checkpoint
-//!   manifest transfer and/or verified block-range replay from a peer,
-//!   with a timeout/retry/backoff policy ([`RetryPolicy`]) for peers
+//! * [`replica`] — [`ReplicaNode`], the one replica type: one
+//!   [`harmony_chain::OeChain`] per hosted shard (storage + snapshots +
+//!   any of the five DCC engines) consuming sealed blocks with ordered
+//!   delivery (gap buffering), a verified delivery log, virtual-time cost
+//!   accounting, and state-root gossip for divergence detection. A flat
+//!   replica ([`ReplicaConfig`]) is its one-partition layout: the single
+//!   chain is the global chain and runs the full-profile engines.
+//! * [`sharded`] — the multi-shard layout ([`ShardedReplicaConfig`]):
+//!   cross-shard planning, per-shard sub-block chains, and live
+//!   resharding through topology-change blocks.
+//! * [`statesync`] — how a lagging replica catches up: per shard,
+//!   checkpoint manifest transfer or verified block-range replay from a
+//!   peer, with a timeout/retry/backoff policy ([`RetryPolicy`]) for peers
 //!   that never answer.
 //! * [`fault`] — the chaos plane: a typed [`FaultSchedule`] of crash
 //!   cycles, partitions, link drop/duplication/delay windows, sync
@@ -41,8 +46,7 @@ pub mod statesync;
 pub use cluster::{
     build_node, load_ns_for_txns, submission_trace, BlockSummary, Cluster, ClusterConfig,
     ClusterLayout, ClusterNode, ClusterReport, ClusterWorkload, CrashPlan, Msg, NodeStatus,
-    OrderingMode, ReplicaSummary, ShardTopology, Submission, SyncFrom, SyncReplyBody, TIMER_CRASH,
-    TIMER_RECOVER,
+    OrderingMode, ReplicaSummary, ShardTopology, Submission, TIMER_CRASH, TIMER_RECOVER,
 };
 pub use fault::{FaultEvent, FaultSchedule, ReshardAt, ReshardSchedule};
 pub use mempool::{AdmitError, Mempool, MempoolConfig, MempoolMetrics, MempoolStats, PendingTxn};
@@ -50,6 +54,6 @@ pub use metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters, ROOT_FOLD_NS}
 pub use replica::{Applied, ReplicaConfig, ReplicaNode};
 pub use sharded::{ShardedReplicaConfig, ShardedReplicaNode};
 pub use statesync::{
-    apply_sharded_sync, apply_sync, serve_sharded_sync, serve_sync, RetryPolicy,
-    ShardedSyncApplied, ShardedSyncResponse, SyncPolicy, SyncResponse,
+    apply_sharded_sync, serve_sharded_sync, RetryPolicy, ShardedSyncApplied, ShardedSyncResponse,
+    SyncPolicy, SyncResponse,
 };

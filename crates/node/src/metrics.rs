@@ -3,8 +3,7 @@
 //! One [`ReplicaMetrics`] per replica (committed/aborted transaction
 //! counters with abort-reason labels, block-cost histogram, and the
 //! [`RootTracker`](crate::replica::RootTracker) buffer high-water
-//! marks), plus one [`TxnCounters`] per hosted shard on a sharded
-//! replica. All handles default to detached cells, so a node built
+//! marks), plus one [`TxnCounters`] per hosted shard. All handles default to detached cells, so a node built
 //! without an observability plane pays the same single relaxed atomic
 //! per event and nothing else.
 
@@ -69,7 +68,7 @@ impl TxnCounters {
     }
 }
 
-/// Metric handles carried by a (flat or sharded) replica node.
+/// Metric handles carried by a replica node.
 #[derive(Clone)]
 pub struct ReplicaMetrics {
     /// `harmony_replica_committed_txns_total{replica}` /
@@ -91,7 +90,7 @@ pub struct ReplicaMetrics {
     /// (reshard) blocks applied by this replica.
     pub reshards: Counter,
     /// `harmony_replica_hosted_shards{replica}` — shard count currently
-    /// hosted (changes at reshard epoch boundaries; 0 on flat replicas).
+    /// hosted (changes at reshard epoch boundaries; 1 on flat replicas).
     pub hosted_shards: Gauge,
 }
 

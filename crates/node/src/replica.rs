@@ -1,36 +1,62 @@
 //! A replica: the execution half of the Order-Execute loop.
 //!
-//! A [`ReplicaNode`] owns an [`OeChain`] (storage engine, snapshot store,
-//! and any [`harmony_sim::EngineKind`] DCC engine) and consumes **sealed
-//! blocks** from an ordering service. Delivery is *ordered*: blocks
-//! arriving ahead of the next height are buffered and applied once the
-//! gap closes, every applied block is appended to a verified
-//! [`DeliveryLog`] (sequence + header hash), and the replica records its
-//! state root every `gossip_every` blocks for divergence detection
-//! against peers' gossiped roots.
+//! A [`ReplicaNode`] consumes **sealed blocks** from an ordering service
+//! and executes them on one [`OeChain`] per hosted shard (storage engine,
+//! snapshot store, and any [`harmony_sim::EngineKind`] DCC engine).
+//! Delivery is *ordered*: blocks arriving ahead of the next height are
+//! buffered and applied once the gap closes, every applied block is
+//! appended to a verified [`DeliveryLog`] (sequence + header hash), and
+//! the replica records its state root every `gossip_every` blocks for
+//! divergence detection against peers' gossiped roots.
 //!
-//! Execution cost is charged in virtual time exactly like the experiment
-//! driver: each block's [`BlockSchedule`] extends a pipeline-aware
-//! makespan, so a saturated replica's throughput matches the analytic
-//! DB-layer model it replaces.
+//! The layout (a [`ShardedReplicaConfig`]: shards × logical partitions)
+//! picks how a block executes:
+//!
+//! * **One partition** — a flat replica, built from a [`ReplicaConfig`].
+//!   No transaction can span partitions, so the single chain *is* the
+//!   global chain: the delivered block is applied as-is by
+//!   [`OeChain::apply_sealed_block`] on full-profile engines (Harmony
+//!   with inter-block parallelism, Fabric with endorser lag), the gossip
+//!   root is the chain's own [`OeChain::state_root`], the global anchor
+//!   is the chain's last hash (so it survives a crash), and execution
+//!   cost extends a pipeline-aware makespan ([`BlockSchedule`]) exactly
+//!   like the experiment driver.
+//! * **More than one partition** — the block is verified against the
+//!   in-memory global anchor, planned across shards by
+//!   [`harmony_shard::plan_block`], and every shard seals and applies its
+//!   own sub-block on sharded-profile engines (see [`crate::sharded`]).
+//!   The gossip root is the Merkle fold of the per-shard roots.
+//!
+//! Crash recovery, wipe, gossip, and the per-shard state-sync protocol
+//! ([`crate::statesync`]) are the same code for every layout.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use harmony_chain::sync::StateSnapshot;
-use harmony_chain::{ChainBlock, ChainConfig, OeChain};
-use harmony_common::{BlockId, Result};
+use harmony_chain::{sharded_state_root, state_root, ChainBlock, ChainConfig, OeChain};
+use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::DeliveryLog;
+use harmony_core::par::run_indexed;
 use harmony_core::BlockStats;
-use harmony_crypto::Digest;
+use harmony_crypto::{Digest, Verifier};
 use harmony_metrics::Gauge;
-use harmony_sim::{pipeline_total_ns, schedule_block, BlockSchedule, EngineKind};
+use harmony_shard::{
+    logical_state_root, plan_block, prune_to_owned, FragmentCodec, PlannerMetrics, ReshardMarker,
+    ShardRouter,
+};
+use harmony_sim::{makespan, pipeline_total_ns, schedule_block, BlockSchedule, EngineKind};
 use harmony_storage::StorageEngine;
-use harmony_txn::ContractCodec;
+use harmony_txn::{ContractCodec, MultiCodec};
 
-use crate::metrics::{ReplicaMetrics, ROOT_FOLD_NS};
+use crate::metrics::{ReplicaMetrics, TxnCounters, ROOT_FOLD_NS};
+use crate::sharded::{
+    build_router, open_shard_chain, reshard_shard_anchor, slice_manifest, ShardedReplicaConfig,
+    RESHARD_HANDOVER_NS,
+};
 
-/// Replica configuration.
+/// Flat replica configuration: the one-partition layout of a
+/// [`ShardedReplicaConfig`] (see its `From` impl).
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
     /// Chain parameters (storage profile, checkpoint period, crypto).
@@ -54,16 +80,6 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// Open an [`OeChain`] wired to rebuild `config.engine` on recovery.
-fn open_chain(config: &ReplicaConfig) -> Result<OeChain> {
-    let kind = config.engine;
-    let workers = config.workers;
-    OeChain::open_with_factory(
-        config.chain.clone(),
-        Arc::new(move |store, next, summary| kind.build_at(store, workers, next, summary)),
-    )
-}
-
 /// One block applied by [`ReplicaNode::deliver`].
 #[derive(Clone, Debug)]
 pub struct Applied {
@@ -78,8 +94,7 @@ pub struct Applied {
     pub gossip_root: Option<Digest>,
 }
 
-/// Gossiped-root bookkeeping shared by the flat and sharded replicas:
-/// remembers this node's own roots per gossip height, holds peer roots
+/// Gossiped-root bookkeeping: remembers this node's own roots per gossip height, holds peer roots
 /// that arrive early, and counts disagreements.
 ///
 /// Memory is bounded: advancing past a gossip height drops every peer
@@ -211,18 +226,26 @@ impl RootTracker {
     }
 }
 
-/// A replica node: ordered delivery over an [`OeChain`].
+/// A replica hosting one chain per shard behind one ordered global block
+/// stream. A flat replica is the one-shard, one-partition layout.
 pub struct ReplicaNode {
-    chain: OeChain,
-    config: ReplicaConfig,
+    config: ShardedReplicaConfig,
+    router: ShardRouter,
+    shards: Vec<OeChain>,
     codec: Arc<dyn ContractCodec>,
-    workers: usize,
-    gossip_every: u64,
-    log_sync_ns: u64,
+    verifier: Verifier,
+    height: BlockId,
+    /// Topology epoch: 0 for the genesis layout, bumped by every applied
+    /// reshard marker.
+    epoch: u64,
+    /// Hash of the latest applied global block — the value the next
+    /// delivery's `prev_hash` must match. In-memory state: `None` after a
+    /// crash or wipe until state-sync re-anchors the replica. Unused on a
+    /// one-partition layout, whose chain carries the global hash itself
+    /// (see [`ReplicaNode::global_hash`]).
+    anchor: Option<Digest>,
     delivery_log: DeliveryLog,
     pending: BTreeMap<u64, Arc<ChainBlock>>,
-    schedules: Vec<BlockSchedule>,
-    charged_ns: u64,
     stats: BlockStats,
     roots: RootTracker,
     /// Fault-injection hook: corrupt the next gossiped (and self-tracked)
@@ -230,69 +253,152 @@ pub struct ReplicaNode {
     /// corrupting chain state.
     poison_next_gossip: bool,
     metrics: ReplicaMetrics,
+    shard_metrics: Vec<TxnCounters>,
+    planner_metrics: PlannerMetrics,
+    /// One-partition layout: the schedules of the blocks applied since
+    /// the last crash or wipe, and the pipeline makespan charged so far.
+    schedules: Vec<BlockSchedule>,
+    charged_ns: u64,
 }
 
 impl ReplicaNode {
-    /// Build a replica: open the chain with a factory for `config.engine`,
-    /// run `setup` to load genesis state, and obtain the contract codec
-    /// used to decode delivered payloads.
+    /// Build a replica: open one chain per shard, run `setup` on every
+    /// shard's engine to load genesis state (table ids come out identical
+    /// because creation order is identical), prune each shard down to the
+    /// rows it owns, and obtain the contract codec that decodes delivered
+    /// payloads — composed with the fragment codec when a transaction can
+    /// span partitions.
+    ///
+    /// `config` is a [`ShardedReplicaConfig`] or a flat [`ReplicaConfig`]
+    /// (the one-partition layout).
     pub fn new(
-        config: &ReplicaConfig,
-        setup: impl FnOnce(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
+        config: impl Into<ShardedReplicaConfig>,
+        mut setup: impl FnMut(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
     ) -> Result<ReplicaNode> {
-        let chain = open_chain(config)?;
-        let codec = setup(chain.engine())?;
-        let log_sync_ns = config.chain.storage.log_sync_ns;
+        let config: ShardedReplicaConfig = config.into();
+        assert!(config.shards > 0, "need at least one shard");
+        let mut shards = Vec::with_capacity(config.shards);
+        let mut workload_codec = None;
+        let mut router: Option<ShardRouter> = None;
+        for s in 0..config.shards {
+            let chain = open_shard_chain(&config, s)?;
+            workload_codec = Some(setup(chain.engine())?);
+            // The router needs the catalog `setup` creates (to resolve
+            // replicated table names), so it is built after the first
+            // shard's genesis load.
+            let r = match &router {
+                Some(r) => r,
+                None => router.insert(build_router(&config, chain.engine())?),
+            };
+            // A lone shard owns every row.
+            if config.shards > 1 {
+                prune_to_owned(chain.engine(), r, s)?;
+            }
+            shards.push(chain);
+        }
+        let router = router.expect("at least one shard");
+        let workload_codec = workload_codec.expect("at least one shard");
+        let codec: Arc<dyn ContractCodec> = if config.one_partition() {
+            workload_codec
+        } else {
+            Arc::new(MultiCodec::new(vec![
+                Arc::new(FragmentCodec),
+                workload_codec,
+            ]))
+        };
         Ok(ReplicaNode {
-            chain,
-            config: config.clone(),
+            verifier: Verifier::new(&config.chain.provision, config.chain.crypto),
+            shard_metrics: (0..config.shards)
+                .map(|_| TxnCounters::detached())
+                .collect(),
+            config,
+            router,
+            shards,
             codec,
-            workers: config.workers,
-            gossip_every: config.gossip_every.max(1),
-            log_sync_ns,
+            height: BlockId(0),
+            epoch: 0,
+            anchor: Some(Digest::ZERO),
             delivery_log: DeliveryLog::default(),
             pending: BTreeMap::new(),
-            schedules: Vec::new(),
-            charged_ns: 0,
             stats: BlockStats::default(),
             roots: RootTracker::default(),
             poison_next_gossip: false,
             metrics: ReplicaMetrics::detached(),
+            planner_metrics: PlannerMetrics::detached(),
+            schedules: Vec::new(),
+            charged_ns: 0,
         })
     }
 
-    /// Report into the given metric handles (the default handles are
-    /// detached). Also wires the root tracker's buffer gauges.
-    pub fn set_metrics(&mut self, metrics: ReplicaMetrics) {
+    /// Report into the given metric handles: replica-level counters and
+    /// histograms, one committed/aborted counter pair per hosted shard
+    /// (`per_shard`, in shard order), and the planner's classification
+    /// metrics. The defaults are detached handles.
+    pub fn set_metrics(
+        &mut self,
+        metrics: ReplicaMetrics,
+        per_shard: Vec<TxnCounters>,
+        planner: PlannerMetrics,
+    ) {
+        assert_eq!(
+            per_shard.len(),
+            self.shards.len(),
+            "one counter pair per shard"
+        );
         self.roots
             .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
+        metrics.hosted_shards.set(self.shards.len() as i64);
         self.metrics = metrics;
+        self.shard_metrics = per_shard;
+        self.planner_metrics = planner;
     }
 
-    /// The underlying chain.
+    /// Number of shards hosted.
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The router placing transactions onto shards.
+    #[must_use]
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// Shard 0's chain — the whole chain on a one-partition layout.
     #[must_use]
     pub fn chain(&self) -> &OeChain {
-        &self.chain
+        &self.shards[0]
     }
 
-    /// The contract codec (decoding registry).
+    /// One shard's chain (inspection / sync serving).
+    #[must_use]
+    pub fn shard_chain(&self, shard: usize) -> &OeChain {
+        &self.shards[shard]
+    }
+
+    /// The decoding registry (workload contracts, plus fragments when a
+    /// transaction can span partitions).
     #[must_use]
     pub fn codec(&self) -> &Arc<dyn ContractCodec> {
         &self.codec
     }
 
-    /// Current chain height.
+    /// Global height (every shard chain sits at this height, except
+    /// mid-recovery).
     #[must_use]
     pub fn height(&self) -> BlockId {
-        self.chain.height()
+        self.height
     }
 
-    /// Full-state root at the current height.
-    pub fn state_root(&self) -> Result<Digest> {
-        self.chain.state_root()
+    /// Per-shard heights — unequal only after a crash recovery that lost
+    /// some shards' checkpoints (state-sync then evens them out).
+    #[must_use]
+    pub fn shard_heights(&self) -> Vec<BlockId> {
+        self.shards.iter().map(OeChain::height).collect()
     }
 
-    /// The verified delivery log.
+    /// The verified global delivery log.
     #[must_use]
     pub fn delivery_log(&self) -> &DeliveryLog {
         &self.delivery_log
@@ -316,24 +422,92 @@ impl ReplicaNode {
         self.roots.alarms()
     }
 
-    /// Receive one sealed block from the ordering service. Buffers it if
-    /// it is ahead of the next height, then applies every consecutively
+    /// The root this replica gossips and reports: the chain's own state
+    /// root on a one-partition layout, otherwise the Merkle fold of the
+    /// per-shard roots ([`sharded_state_root`]) — what a sharded block
+    /// header would carry. O(M) over the shards' cached commitment roots
+    /// once warm; when any shard still needs its one-time commitment build
+    /// (first gossip, post-recovery), the builds run in parallel across
+    /// shards.
+    pub fn state_root(&self) -> Result<Digest> {
+        let shard_roots: Vec<Digest> = if self.shards.iter().all(OeChain::root_is_cached) {
+            self.shards
+                .iter()
+                .map(OeChain::state_root)
+                .collect::<Result<_>>()?
+        } else {
+            run_indexed(self.shards.len(), self.config.workers.max(1), |s| {
+                self.shards[s].state_root()
+            })
+            .into_iter()
+            .collect::<Result<_>>()?
+        };
+        Ok(self.fold_roots(&shard_roots))
+    }
+
+    /// [`Self::state_root`], under the name the sharded callers use.
+    pub fn sharded_root(&self) -> Result<Digest> {
+        self.state_root()
+    }
+
+    /// Audit-oracle counterpart of [`Self::state_root`]: rebuilds every
+    /// shard's root from a full scan. Must always equal the cached root.
+    pub fn sharded_root_oracle(&self) -> Result<Digest> {
+        let shard_roots: Vec<Digest> = self
+            .shards
+            .iter()
+            .map(|c| state_root(c.engine()))
+            .collect::<Result<_>>()?;
+        Ok(self.fold_roots(&shard_roots))
+    }
+
+    fn fold_roots(&self, shard_roots: &[Digest]) -> Digest {
+        if self.config.one_partition() {
+            shard_roots[0]
+        } else {
+            sharded_state_root(shard_roots)
+        }
+    }
+
+    /// Shard-count-invariant digest of the logical database (the union of
+    /// the disjoint shard partitions) — comparable across deployments with
+    /// different M, and equal to [`Self::state_root`] on a one-partition
+    /// layout.
+    pub fn logical_state_root(&self) -> Result<Digest> {
+        logical_state_root(self.shards.iter().map(OeChain::engine))
+    }
+
+    /// Per-table digests of the logical database — the table-granular
+    /// decomposition of [`Self::logical_state_root`], equally
+    /// shard-count-invariant. The resharding equivalence tests compare
+    /// these so a divergence names the table that drifted.
+    pub fn logical_table_heads(&self) -> Result<Vec<(String, Digest)>> {
+        harmony_shard::logical_table_heads(self.shards.iter().map(OeChain::engine))
+    }
+
+    /// Receive one globally ordered sealed block. Buffers it if it is
+    /// ahead of the next height, then applies every consecutively
     /// available block. Returns the blocks applied by this call.
     pub fn deliver(&mut self, block: Arc<ChainBlock>) -> Result<Vec<Applied>> {
         let seq = block.header.id.0;
-        if seq > self.height().0 {
+        if seq > self.height.0 {
             self.pending.entry(seq).or_insert(block);
         }
         self.drain_pending()
     }
 
-    /// Apply every buffered block that now connects to the chain tip.
+    /// Apply every buffered block that now connects to the global tip.
+    /// No-op while the global anchor is unknown (post-crash, pre-sync):
+    /// linkage of a delivered block cannot be verified without it.
     pub fn drain_pending(&mut self) -> Result<Vec<Applied>> {
         let mut applied = Vec::new();
-        let tip = self.chain.height().0;
+        let tip = self.height.0;
         self.pending.retain(|s, _| *s > tip);
+        if self.global_hash().is_none() {
+            return Ok(applied);
+        }
         loop {
-            let next = self.chain.height().0 + 1;
+            let next = self.height.0 + 1;
             let Some(block) = self.pending.remove(&next) else {
                 break;
             };
@@ -343,31 +517,33 @@ impl ReplicaNode {
     }
 
     fn apply(&mut self, block: &ChainBlock) -> Result<Applied> {
-        let result = self.chain.apply_sealed_block(block, self.codec.as_ref())?;
-        self.delivery_log
-            .observe(block.header.id.0, block.header.hash());
-        self.stats.absorb(&result.stats);
-        self.metrics.txns.observe(&result.stats);
-
-        // Virtual-time charge: extend the pipeline-aware makespan exactly
-        // as the experiment driver schedules blocks (group-commit log sync
-        // included), and charge only the increment.
-        let mut sched = schedule_block(&result, self.workers, self.chain.dcc().commit_is_serial());
-        sched.commit_ns += self.log_sync_ns;
-        sched.commit_work_ns += self.log_sync_ns;
-        sched.work_ns += self.log_sync_ns;
-        self.schedules.push(sched);
-        let total = pipeline_total_ns(
-            &self.schedules,
-            self.chain.dcc().pipeline_depth(),
-            self.workers,
-        );
-        let cost_ns = total.saturating_sub(self.charged_ns);
-        self.charged_ns = total;
+        let id = block.header.id;
+        let hash = block.header.hash();
+        let (committed, cost_ns) = if self.config.one_partition() {
+            self.apply_whole(block)?
+        } else {
+            let prev = self.anchor.ok_or_else(|| {
+                Error::InvalidArgument("cannot apply without a global anchor".into())
+            })?;
+            block.verify(&prev, &self.verifier)?;
+            // A topology-change block carries a single reshard marker
+            // instead of transactions; it must be recognized before
+            // contract decoding (the marker is not a contract payload).
+            match block.txns.as_slice() {
+                [only] => match ReshardMarker::decode(only) {
+                    Some(marker) => (0, self.apply_reshard(id, &hash, marker)?),
+                    None => self.apply_planned(block)?,
+                },
+                _ => self.apply_planned(block)?,
+            }
+        };
         self.metrics.block_cost_ns.observe(cost_ns);
+        self.height = id;
+        self.anchor = Some(hash);
+        self.delivery_log.observe(id.0, hash);
 
-        let gossip_root = if block.header.id.0.is_multiple_of(self.gossip_every) {
-            let mut root = self.chain.state_root()?;
+        let gossip_root = if id.0.is_multiple_of(self.config.gossip_every.max(1)) {
+            let mut root = self.state_root()?;
             if self.poison_next_gossip {
                 // Corrupt the *observed* root (gossip + own tracking), not
                 // the chain: peers will dispute it, and so will this node's
@@ -375,18 +551,213 @@ impl ReplicaNode {
                 root.0[0] ^= 0xFF;
                 self.poison_next_gossip = false;
             }
-            self.roots.note_own(block.header.id.0, root);
+            self.roots.note_own(id.0, root);
             self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
             Some(root)
         } else {
             None
         };
         Ok(Applied {
-            block: block.header.id,
-            committed: result.stats.committed,
+            block: id,
+            committed,
             cost_ns,
             gossip_root,
         })
+    }
+
+    /// One-partition arm: the delivered block is the chain's own next
+    /// block (verified, logged, decoded and executed by the chain). Returns
+    /// `(committed, cost_ns)`: the virtual-time charge extends the
+    /// pipeline-aware makespan exactly as the experiment driver schedules
+    /// blocks (group-commit log sync included), and charges only the
+    /// increment.
+    fn apply_whole(&mut self, block: &ChainBlock) -> Result<(usize, u64)> {
+        let chain = &mut self.shards[0];
+        let result = chain.apply_sealed_block(block, self.codec.as_ref())?;
+        self.stats.absorb(&result.stats);
+        self.metrics.txns.observe(&result.stats);
+        self.shard_metrics[0].observe(&result.stats);
+
+        let log_sync_ns = self.config.chain.storage.log_sync_ns;
+        let workers = self.config.workers;
+        let mut sched = schedule_block(&result, workers, chain.dcc().commit_is_serial());
+        sched.commit_ns += log_sync_ns;
+        sched.commit_work_ns += log_sync_ns;
+        sched.work_ns += log_sync_ns;
+        self.schedules.push(sched);
+        let total = pipeline_total_ns(&self.schedules, chain.dcc().pipeline_depth(), workers);
+        let cost_ns = total.saturating_sub(self.charged_ns);
+        self.charged_ns = total;
+        Ok((result.stats.committed, cost_ns))
+    }
+
+    /// Multi-partition arm: decode the global payloads, plan the block
+    /// across shards, then seal + apply one sub-block per shard through
+    /// its own chain (the sub-block hits the shard's logical block log
+    /// before execution). Returns `(committed, cost_ns)`.
+    fn apply_planned(&mut self, block: &ChainBlock) -> Result<(usize, u64)> {
+        let txns: Result<Vec<_>> = block.txns.iter().map(|b| self.codec.decode(b)).collect();
+        let txns = txns?;
+        let stores: Vec<_> = self
+            .shards
+            .iter()
+            .map(|c| Arc::clone(c.snapshots()))
+            .collect();
+        let mut plan = plan_block(
+            &self.router,
+            &stores,
+            self.height,
+            &txns,
+            self.config.workers,
+            &self.config.latency,
+        );
+        self.planner_metrics.observe(&plan);
+        let log_sync_ns = self.config.chain.storage.log_sync_ns;
+        let mut shard_results = Vec::with_capacity(self.shards.len());
+        let mut shard_stage_ns = 0u64;
+        for (s, chain) in self.shards.iter_mut().enumerate() {
+            let sub = std::mem::take(&mut plan.shard_txns[s]);
+            // submit_block seals (one codec encode, into the shard's
+            // logical log) and executes the already-decoded contracts —
+            // no per-shard re-decode on the hot path. Decode fidelity is
+            // separately pinned by the recovery/state-sync tests, which
+            // replay the logged bytes through the codec.
+            let (_sealed, result) = chain.submit_block(sub, self.codec.as_ref())?;
+            let commit_serial = chain.dcc().commit_is_serial();
+            shard_stage_ns = shard_stage_ns.max(
+                schedule_block(&result, self.config.workers, commit_serial).total_ns()
+                    + log_sync_ns,
+            );
+            self.shard_metrics[s].observe(&result.stats);
+            shard_results.push(result);
+        }
+        let outcomes = plan.fold_outcomes(&shard_results)?;
+        let block_stats = plan.accumulate_stats(&outcomes, &shard_results);
+        self.stats.absorb(&block_stats);
+        self.metrics.txns.observe(&block_stats);
+
+        // Virtual-time charge: the cross stage (fragment exchange + the
+        // multi-partition re-simulation) runs in lockstep, then every
+        // shard executes its sub-block concurrently — the block costs the
+        // slowest shard. The sharded profile has no inter-block pipeline,
+        // so blocks are charged back-to-back.
+        let cost_ns =
+            plan.exchange_ns + makespan(&plan.cross_sim_ns, self.config.workers) + shard_stage_ns;
+        let committed = outcomes.iter().filter(|o| o.is_committed()).count();
+        Ok((committed, cost_ns))
+    }
+
+    /// Apply a topology-change block: re-host the logical database on
+    /// `marker.new_shards` shards, atomically, at this block's height.
+    /// Returns the virtual-time charge of the handover.
+    ///
+    /// Because `apply` is strictly sequential in block order, every
+    /// in-flight sub-block is already drained when the marker lands. The
+    /// handover reuses the state-sync primitives end to end: each old
+    /// shard exports its checkpoint manifest ([`OeChain::export_snapshot`]
+    /// — the same manifest `serve_sharded_sync` ships), a split serves
+    /// each new shard its partition slice of those manifests, a merge
+    /// first re-verifies the folded sub-block logs (verified range
+    /// replay, [`OeChain::verify_chain`]) and then folds their slices,
+    /// and each new shard chain comes up via
+    /// [`OeChain::install_snapshot`]. The router swap
+    /// ([`ShardRouter::resharded`]) is the epoch boundary: partition→key
+    /// classification is untouched, so every commit/abort decision stays
+    /// shard-count-invariant and the logical state root is bit-identical
+    /// to a fixed-count run.
+    fn apply_reshard(&mut self, id: BlockId, hash: &Digest, marker: ReshardMarker) -> Result<u64> {
+        let new_count = marker.new_shards as usize;
+        self.check_shard_count(new_count)?;
+        let old_count = self.shards.len();
+        if new_count < old_count {
+            // Merge direction: the surviving shards absorb foreign rows,
+            // so the logs being folded are re-verified first (hash
+            // linkage + deterministic replay of each sub-block log).
+            for chain in &self.shards {
+                chain.verify_chain()?;
+            }
+        }
+        let exports = self
+            .shards
+            .iter()
+            .map(OeChain::export_snapshot)
+            .collect::<Result<Vec<_>>>()?;
+        let new_router = self.router.resharded(new_count);
+        // Catalog order is identical on every shard (creation order is
+        // identical), so table ids resolve against shard 0.
+        let catalog = self.shards[0].engine().list_tables();
+
+        let mut new_shards = Vec::with_capacity(new_count);
+        for s in 0..new_count {
+            let snapshot = slice_manifest(
+                &exports,
+                &catalog,
+                &new_router,
+                s,
+                id,
+                reshard_shard_anchor(hash, marker.epoch, marker.new_shards, s),
+            );
+            let mut chain = open_shard_chain(&self.config, s)?;
+            chain.install_snapshot(&snapshot)?;
+            new_shards.push(chain);
+        }
+
+        self.shards = new_shards;
+        self.router = new_router;
+        self.config.shards = new_count;
+        self.epoch = marker.epoch;
+        self.shard_metrics
+            .resize_with(new_count, TxnCounters::detached);
+        self.metrics.reshards.inc();
+        self.metrics.hosted_shards.set(new_count as i64);
+
+        // The handover is charged like a sync serve/install round over
+        // every shard manifest that moved.
+        Ok(RESHARD_HANDOVER_NS.saturating_mul((old_count + new_count) as u64))
+    }
+
+    /// A shard count is a layout only if every shard owns at least one
+    /// logical partition.
+    fn check_shard_count(&self, count: usize) -> Result<()> {
+        if count == 0 || count > self.config.partitions as usize {
+            return Err(Error::InvalidArgument(format!(
+                "{count} shards is not a layout of {} logical partitions",
+                self.config.partitions
+            )));
+        }
+        Ok(())
+    }
+
+    /// Current topology epoch (0 until the first reshard marker applies).
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Adopt a sync peer's topology epoch. A replica that crashed across
+    /// one or more reshard boundaries never replays those markers (the
+    /// manifest path skips them), so the sync reply carries the
+    /// authoritative epoch. Monotonic: a stale reply from a peer we
+    /// raced past can never rewind the local epoch.
+    pub fn adopt_epoch(&mut self, epoch: u64) {
+        self.epoch = self.epoch.max(epoch);
+    }
+
+    /// Adopt a serving peer's shard count ahead of applying its sync
+    /// response — the requester sits on the far side of a reshard
+    /// boundary (it crashed or partitioned across the epoch swap), so its
+    /// local layout is obsolete. Like [`Self::wipe_for_resync`], but onto
+    /// `new_count` fresh shard chains with a recounted router; the
+    /// response's full manifests then rebuild every shard.
+    pub fn reshape_for_sync(&mut self, new_count: usize) -> Result<()> {
+        self.check_shard_count(new_count)?;
+        self.router = self.router.resharded(new_count);
+        self.config.shards = new_count;
+        self.reopen(new_count)?;
+        self.shard_metrics
+            .resize_with(new_count, TxnCounters::detached);
+        self.metrics.hosted_shards.set(new_count as i64);
+        Ok(())
     }
 
     /// Receive a peer's gossiped state root. Compares against this
@@ -417,69 +788,154 @@ impl ReplicaNode {
         self.poison_next_gossip = true;
     }
 
-    /// Drop all local chain state ahead of a quarantine re-sync: reopen a
-    /// fresh chain (height 0, empty tables) and clear comparison
-    /// evidence, but keep buffered deliveries — they re-apply once the
-    /// peer's snapshot lands. After this, a state-sync request advertises
-    /// height 0, so the serving peer answers with a full manifest.
+    /// Drop all local state ahead of a quarantine re-sync: reopen every
+    /// shard chain fresh (height 0, empty tables), drop the global
+    /// anchor, and clear comparison evidence. Buffered deliveries are
+    /// kept — they drain once the peer's state lands. After this, a
+    /// state-sync request advertises height 0 for every shard, so the
+    /// serving peer answers with full manifests.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
-        let passed = self.roots.passed;
-        self.chain = open_chain(&self.config)?;
+        let count = self.shards.len();
+        self.reopen(count)
+    }
+
+    /// Reopen `count` fresh shard chains at height 0 with no anchor.
+    fn reopen(&mut self, count: usize) -> Result<()> {
+        let passed = self.height.0;
+        self.shards = (0..count)
+            .map(|s| open_shard_chain(&self.config, s))
+            .collect::<Result<Vec<_>>>()?;
+        self.height = BlockId(0);
+        self.anchor = None;
         self.schedules.clear();
         self.charged_ns = 0;
         self.roots.reset_for_resync(passed);
         Ok(())
     }
 
-    /// Crash: lose the delivery buffer and in-memory execution state (the
-    /// chain's durable state is recovered separately).
+    /// Crash: lose the delivery buffer and in-memory execution state,
+    /// including the global anchor (the shards' durable state is
+    /// recovered separately).
     pub fn crash(&mut self) {
         self.pending.clear();
+        self.anchor = None;
         self.schedules.clear();
         self.charged_ns = 0;
     }
 
-    /// Local recovery: reload the last checkpoint and deterministically
-    /// replay this replica's own block log.
+    /// Local recovery: every shard chain reloads its last checkpoint and
+    /// deterministically replays its own block log. A shard that never
+    /// checkpointed honestly lands at height 0 with an empty catalog
+    /// (ready for a manifest install); the others replay back to the
+    /// height they had applied. The replica's global height drops to the
+    /// laggiest shard; on a multi-partition layout the global anchor stays
+    /// unknown until state-sync re-establishes it.
     pub fn recover_local(&mut self) -> Result<()> {
-        let codec = Arc::clone(&self.codec);
-        self.chain.crash_and_recover(codec.as_ref())
+        for chain in &mut self.shards {
+            chain.crash_and_recover(self.codec.as_ref())?;
+        }
+        self.height = self
+            .shards
+            .iter()
+            .map(OeChain::height)
+            .min()
+            .expect("at least one shard");
+        self.anchor = None;
+        Ok(())
     }
 
-    /// Catch up from a peer's verified block range (state-sync phase 2).
-    /// Returns the number of blocks applied, counting any buffered
-    /// deliveries that became applicable.
-    pub fn catch_up_from_blocks(&mut self, blocks: &[ChainBlock]) -> Result<usize> {
-        let codec = Arc::clone(&self.codec);
-        let mut applied = self.chain.replay_range(blocks, codec.as_ref())?;
-        for b in blocks {
-            if b.header.id <= self.height() {
+    /// Catch one shard up from a peer's verified block range
+    /// (state-sync, per-shard phase 2). Returns the blocks applied.
+    pub fn catch_up_shard_from_blocks(
+        &mut self,
+        shard: usize,
+        blocks: &[ChainBlock],
+    ) -> Result<usize> {
+        let chain = &mut self.shards[shard];
+        let applied = chain.replay_range(blocks, self.codec.as_ref())?;
+        if self.config.one_partition() {
+            // The single chain's blocks are the global blocks.
+            for b in blocks.iter().filter(|b| b.header.id <= chain.height()) {
                 self.delivery_log.observe(b.header.id.0, b.header.hash());
-                self.pending.remove(&b.header.id.0);
             }
         }
-        applied += self.drain_pending()?.len();
         Ok(applied)
     }
 
-    /// Bootstrap this replica from a peer's checkpoint manifest, then
-    /// replay the accompanying block range (state-sync phases 1 + 2).
-    /// A replica that already holds any local state — chain history or
-    /// pre-loaded genesis tables — is wiped first: when a peer answers
-    /// with a manifest, the manifest is the complete truth, and merging
-    /// it over local rows would keep rows the peer has since deleted.
-    pub fn bootstrap_from_snapshot(
+    /// Bootstrap one shard from a peer's checkpoint manifest, then replay
+    /// the accompanying block tail (per-shard phases 1 + 2). Returns the
+    /// shard's height gain. A shard holding any local state — chain
+    /// history or pre-loaded genesis tables — is wiped first: when a peer
+    /// answers with a manifest, the manifest is the complete truth for
+    /// that shard's partition, and merging it over local rows would keep
+    /// rows the peer has since deleted.
+    pub fn bootstrap_shard_from_snapshot(
         &mut self,
+        shard: usize,
         snapshot: &StateSnapshot,
         blocks: &[ChainBlock],
     ) -> Result<usize> {
-        if self.chain.height() != BlockId(0) || !self.chain.engine().list_tables().is_empty() {
-            self.chain = open_chain(&self.config)?;
+        if snapshot.height > BlockId(0) && self.shards[shard].height() >= snapshot.height {
+            // Deliveries that drained while the response was in flight
+            // already carried this shard past the manifest point: its
+            // verified chain state is at least as new, so installing the
+            // older manifest would move backwards.
+            return Ok(0);
+        }
+        let before = self.shards[shard].height().0;
+        let fresh = before == 0 && self.shards[shard].engine().list_tables().is_empty();
+        if !fresh {
+            self.shards[shard] = open_shard_chain(&self.config, shard)?;
             self.schedules.clear();
             self.charged_ns = 0;
         }
-        self.chain.install_snapshot(snapshot)?;
-        self.catch_up_from_blocks(blocks)
+        self.shards[shard].install_snapshot(snapshot)?;
+        self.catch_up_shard_from_blocks(shard, blocks)?;
+        Ok(self.shards[shard].height().0.saturating_sub(before) as usize)
+    }
+
+    /// Finish a state-sync round: every shard must have landed on one
+    /// common height, at least the peer's served height. At exactly the
+    /// served height, the replica re-anchors on the peer's global block
+    /// hash; past it, the replica kept applying anchored deliveries while
+    /// the response was in flight and its own (newer) anchor stands.
+    /// Buffered deliveries beyond the tip drain immediately.
+    pub fn finish_sync(&mut self, height: BlockId, global_hash: Digest) -> Result<Vec<Applied>> {
+        let landed = self.shards[0].height();
+        for (s, chain) in self.shards.iter().enumerate() {
+            if chain.height() != landed {
+                return Err(Error::Corruption(format!(
+                    "shard {s} ended sync at {} (shard 0 at {landed})",
+                    chain.height()
+                )));
+            }
+        }
+        if landed < height {
+            return Err(Error::Corruption(format!(
+                "sync landed at {landed}, short of the served height {height}"
+            )));
+        }
+        if landed == height {
+            self.anchor = Some(global_hash);
+        } else if self.global_hash().is_none() {
+            return Err(Error::Corruption(format!(
+                "shards at {landed} past the served height {height} with no anchor"
+            )));
+        }
+        self.height = landed;
+        self.drain_pending()
+    }
+
+    /// The global block hash this replica is anchored at, if known —
+    /// served to syncing peers so they can re-anchor. On a one-partition
+    /// layout it is the chain's own last hash, so it survives a crash.
+    #[must_use]
+    pub fn global_hash(&self) -> Option<Digest> {
+        if self.config.one_partition() {
+            Some(self.shards[0].last_hash())
+        } else {
+            self.anchor
+        }
     }
 }
 
@@ -488,8 +944,10 @@ mod tests {
     use super::*;
     use harmony_workloads::{Smallbank, SmallbankCodec, SmallbankConfig, Workload};
 
-    fn smallbank_replica(engine: EngineKind) -> ReplicaNode {
-        let config = ReplicaConfig {
+    use crate::statesync::{apply_sharded_sync, ShardedSyncResponse, SyncResponse};
+
+    fn replica_config(engine: EngineKind) -> ReplicaConfig {
+        ReplicaConfig {
             chain: ChainConfig {
                 checkpoint_every: 4,
                 ..ChainConfig::in_memory()
@@ -497,22 +955,26 @@ mod tests {
             engine,
             workers: 2,
             gossip_every: 2,
-        };
-        ReplicaNode::new(&config, |eng| {
-            let mut w = Smallbank::new(SmallbankConfig {
-                accounts: 100,
-                theta: 0.5,
-                ..SmallbankConfig::default()
-            });
-            w.setup(eng)?;
-            let (checking, savings) = w.tables();
-            Ok(Arc::new(SmallbankCodec { checking, savings }))
-        })
-        .unwrap()
+        }
+    }
+
+    fn smallbank_setup(eng: &Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>> {
+        let mut w = Smallbank::new(SmallbankConfig {
+            accounts: 100,
+            theta: 0.5,
+            ..SmallbankConfig::default()
+        });
+        w.setup(eng)?;
+        let (checking, savings) = w.tables();
+        Ok(Arc::new(SmallbankCodec { checking, savings }))
+    }
+
+    fn smallbank_replica(engine: EngineKind) -> ReplicaNode {
+        ReplicaNode::new(&replica_config(engine), smallbank_setup).unwrap()
     }
 
     fn sealed_stream(n: usize) -> (Vec<Arc<ChainBlock>>, Digest) {
-        // A reference chain produces the sealed blocks an orderer would.
+        // A reference replica produces the sealed blocks an orderer would.
         let mut sealer = smallbank_replica(EngineKind::Rbc);
         let mut w = Smallbank::new(SmallbankConfig {
             accounts: 100,
@@ -525,12 +987,9 @@ mod tests {
         let mut blocks = Vec::new();
         for _ in 0..n {
             let txns = w.next_block(&mut rng, 8);
-            let sealed = sealer.chain.seal_block(&txns, sealer.codec.as_ref());
-            sealer
-                .chain
-                .apply_sealed_block(&sealed, sealer.codec.as_ref())
-                .unwrap();
-            blocks.push(Arc::new(sealed));
+            let sealed = Arc::new(sealer.chain().seal_block(&txns, sealer.codec().as_ref()));
+            assert_eq!(sealer.deliver(Arc::clone(&sealed)).unwrap().len(), 1);
+            blocks.push(sealed);
         }
         (blocks, sealer.state_root().unwrap())
     }
@@ -668,16 +1127,19 @@ mod tests {
         r.deliver(Arc::clone(&blocks[4])).unwrap();
         r.deliver(Arc::clone(&blocks[5])).unwrap();
         assert_eq!(r.height(), BlockId(1));
-        // Peer serves blocks 2–4; the buffered tail drains automatically.
-        let applied = r
-            .catch_up_from_blocks(
-                &blocks[1..4]
-                    .iter()
-                    .map(|b| (**b).clone())
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-        assert_eq!(applied, 5);
+        // Peer serves blocks 2–4 (one part, anchored at block 4); the
+        // buffered tail drains automatically.
+        let response = ShardedSyncResponse {
+            height: BlockId(4),
+            global_hash: blocks[3].header.hash(),
+            epoch: 0,
+            parts: vec![SyncResponse::Range(
+                blocks[1..4].iter().map(|b| (**b).clone()).collect(),
+            )],
+        };
+        let applied = apply_sharded_sync(&mut r, &response).unwrap();
+        assert_eq!(applied.blocks, 5);
+        assert_eq!(applied.range_shards, 1);
         assert_eq!(r.height(), BlockId(6));
         assert_eq!(r.state_root().unwrap(), reference_root);
         assert!(r.delivery_log().is_gap_free());
@@ -710,5 +1172,56 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    #[test]
+    fn one_partition_gossips_the_bare_chain_root() {
+        // The flat layout must be a bare full-profile chain: the gossiped
+        // root is the unfolded commitment root of its engine, and equals
+        // what `OeChain::apply_sealed_block` alone produces on the same
+        // blocks.
+        let (blocks, _) = sealed_stream(4);
+        let kind = EngineKind::Harmony(harmony_core::HarmonyConfig::default());
+        let config = replica_config(kind);
+        let mut r = ReplicaNode::new(&config, smallbank_setup).unwrap();
+        let mut bare = OeChain::open_with_factory(
+            config.chain.clone(),
+            Arc::new(move |store, next, summary| kind.build_at(store, 2, next, summary)),
+        )
+        .unwrap();
+        let codec = smallbank_setup(bare.engine()).unwrap();
+        let mut gossiped = None;
+        for b in &blocks {
+            for a in r.deliver(Arc::clone(b)).unwrap() {
+                gossiped = a.gossip_root.or(gossiped);
+            }
+            bare.apply_sealed_block(b, codec.as_ref()).unwrap();
+        }
+        let gossiped = gossiped.expect("gossip at height 4");
+        assert_eq!(gossiped, state_root(r.chain().engine()).unwrap());
+        assert_eq!(gossiped, bare.state_root().unwrap());
+        assert_eq!(r.sharded_root_oracle().unwrap(), gossiped);
+        assert_eq!(r.logical_state_root().unwrap(), gossiped);
+    }
+
+    #[test]
+    fn one_partition_anchor_survives_a_crash() {
+        // With one partition the anchor is the chain's own last hash: after
+        // a crash and local recovery, with no sync reply, deliveries keep
+        // applying.
+        let (blocks, reference_root) = sealed_stream(6);
+        let mut r = smallbank_replica(EngineKind::Rbc);
+        for b in &blocks[..4] {
+            r.deliver(Arc::clone(b)).unwrap();
+        }
+        r.crash();
+        r.recover_local().unwrap();
+        assert_eq!(r.height(), BlockId(4), "checkpoint at 4 recovers fully");
+        assert_eq!(r.global_hash(), Some(blocks[3].header.hash()));
+        for b in &blocks[4..] {
+            assert_eq!(r.deliver(Arc::clone(b)).unwrap().len(), 1);
+        }
+        assert_eq!(r.height(), BlockId(6));
+        assert_eq!(r.state_root().unwrap(), reference_root);
     }
 }

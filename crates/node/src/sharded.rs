@@ -1,11 +1,12 @@
-//! The sharded replica: N-replica replication × M-shard execution in one
+//! The sharded layout: N-replica replication × M-shard execution in one
 //! node — the composition of `harmony-shard`'s deterministic cross-shard
 //! commit with `harmony-node`'s ordered delivery and crash recovery.
 //!
-//! A [`ShardedReplicaNode`] hosts M **per-shard [`OeChain`]s** (any of the
-//! five engines in their sharded profile, rebuilt through a sharded
-//! `DccFactory` on recovery). A globally ordered block is consumed in four
-//! steps:
+//! A [`ShardedReplicaConfig`] lays a [`ReplicaNode`] out over M
+//! **per-shard [`OeChain`]s** and P logical partitions. With more than
+//! one partition, each shard runs its engine in the sharded profile
+//! (rebuilt through a sharded `DccFactory` on recovery), and a globally
+//! ordered block is consumed in four steps:
 //!
 //! 1. verify its linkage/signature against the replica's **global** hash
 //!    chain,
@@ -31,29 +32,29 @@
 //! hash) lives in memory; after a crash it is re-anchored by the first
 //! state-sync response, and ordered delivery stays buffered until the
 //! anchor is known.
+//!
+//! With one partition (the flat layout, `From<&ReplicaConfig>`) none of
+//! this applies: see [`crate::replica`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use harmony_chain::sync::{StateSnapshot, TableDump};
-use harmony_chain::{sharded_state_root, state_root, ChainBlock, ChainConfig, OeChain};
+use harmony_chain::{ChainConfig, DccFactory, OeChain};
 use harmony_common::{BlockId, Error, Result};
-use harmony_consensus::net::{DeliveryLog, LatencyModel};
-use harmony_core::par::run_indexed;
-use harmony_core::BlockStats;
-use harmony_crypto::{sha256, Digest, Verifier};
-use harmony_shard::{
-    logical_state_root, plan_block, prune_to_owned, FragmentCodec, Partitioning, PlannerMetrics,
-    ReshardMarker, ShardRouter,
-};
-use harmony_sim::{makespan, schedule_block, EngineKind};
+use harmony_consensus::net::LatencyModel;
+use harmony_crypto::{sha256, Digest};
+use harmony_shard::{Partitioning, ShardRouter};
+use harmony_sim::EngineKind;
 use harmony_storage::StorageEngine;
-use harmony_txn::{ContractCodec, Key, MultiCodec};
+use harmony_txn::Key;
 
-use crate::metrics::{ReplicaMetrics, TxnCounters, ROOT_FOLD_NS};
-use crate::replica::{Applied, RootTracker};
+use crate::replica::{ReplicaConfig, ReplicaNode};
 
-/// Sharded replica configuration.
+/// The sharded replica is the one replica type under its layout config.
+pub type ShardedReplicaNode = ReplicaNode;
+
+/// Replica layout configuration: shards × logical partitions.
 #[derive(Clone, Debug)]
 pub struct ShardedReplicaConfig {
     /// Per-shard chain template (storage profile, checkpoint period,
@@ -124,23 +125,56 @@ impl ShardedReplicaConfig {
         }
         cfg
     }
+
+    /// One logical partition: no transaction can span partitions, so the
+    /// single chain is the global chain and runs the flat profile.
+    pub(crate) fn one_partition(&self) -> bool {
+        self.partitions <= 1
+    }
 }
 
-/// Open one shard's chain, wired to rebuild the sharded-profile engine on
-/// recovery and snapshot install.
-fn open_shard_chain(config: &ShardedReplicaConfig, shard: usize) -> Result<OeChain> {
+/// A flat replica is the one-shard, one-partition layout.
+impl From<&ReplicaConfig> for ShardedReplicaConfig {
+    fn from(config: &ReplicaConfig) -> Self {
+        ShardedReplicaConfig {
+            chain: config.chain.clone(),
+            engine: config.engine,
+            workers: config.workers,
+            shards: 1,
+            partitions: 1,
+            gossip_every: config.gossip_every,
+            ..ShardedReplicaConfig::default()
+        }
+    }
+}
+
+impl From<&ShardedReplicaConfig> for ShardedReplicaConfig {
+    fn from(config: &ShardedReplicaConfig) -> Self {
+        config.clone()
+    }
+}
+
+/// Open one shard's chain, wired to rebuild its engine on recovery and
+/// snapshot install: the full profile (with the Rule-3 summary) on a
+/// one-partition layout, the sharded profile otherwise.
+pub(crate) fn open_shard_chain(config: &ShardedReplicaConfig, shard: usize) -> Result<OeChain> {
     let kind = config.engine;
     let workers = config.workers;
-    OeChain::open_with_factory(
-        config.shard_chain_config(shard),
-        Arc::new(move |store, next, _summary| kind.build_sharded_at(store, workers, next)),
-    )
+    let factory: DccFactory = if config.one_partition() {
+        Arc::new(move |store, next, summary| kind.build_at(store, workers, next, summary))
+    } else {
+        Arc::new(move |store, next, _summary| kind.build_sharded_at(store, workers, next))
+    };
+    OeChain::open_with_factory(config.shard_chain_config(shard), factory)
 }
 
 /// Build the shard router from the deployment's partitioning knob and
 /// replicated-table names, resolved against the catalog `setup` created
 /// on `engine`.
-fn build_router(config: &ShardedReplicaConfig, engine: &Arc<StorageEngine>) -> Result<ShardRouter> {
+pub(crate) fn build_router(
+    config: &ShardedReplicaConfig,
+    engine: &Arc<StorageEngine>,
+) -> Result<ShardRouter> {
     let catalog = engine.list_tables();
     let mut replicated = Vec::with_capacity(config.replicated_tables.len());
     for name in &config.replicated_tables {
@@ -161,663 +195,22 @@ fn build_router(config: &ShardedReplicaConfig, engine: &Arc<StorageEngine>) -> R
     )
 }
 
-/// Whether the replica knows the hash of its latest global block — the
-/// value the next delivery's `prev_hash` must match. Lost on crash (it is
-/// in-memory state), restored by the first state-sync response.
-enum GlobalAnchor {
-    Known(Digest),
-    Unknown,
-}
-
-/// A replica hosting M shards behind one ordered global block stream.
-pub struct ShardedReplicaNode {
-    config: ShardedReplicaConfig,
-    router: ShardRouter,
-    shards: Vec<OeChain>,
-    codec: Arc<dyn ContractCodec>,
-    verifier: Verifier,
-    height: BlockId,
-    /// Topology epoch: 0 for the genesis layout, bumped by every applied
-    /// reshard marker.
-    epoch: u64,
-    anchor: GlobalAnchor,
-    delivery_log: DeliveryLog,
-    pending: BTreeMap<u64, Arc<ChainBlock>>,
-    stats: BlockStats,
-    roots: RootTracker,
-    /// Fault-injection hook: corrupt the next gossiped (and self-tracked)
-    /// root without touching shard state. See
-    /// [`ShardedReplicaNode::poison_next_gossip`].
-    poison_next_gossip: bool,
-    metrics: ReplicaMetrics,
-    shard_metrics: Vec<TxnCounters>,
-    planner_metrics: PlannerMetrics,
-}
-
-impl ShardedReplicaNode {
-    /// Build a sharded replica: open one chain per shard, run `setup` on
-    /// every shard's engine to load genesis state (table ids come out
-    /// identical because creation order is identical), prune each shard
-    /// down to the rows it owns, and compose the returned workload codec
-    /// with the fragment codec into the replica's decoding registry.
-    pub fn new(
-        config: &ShardedReplicaConfig,
-        mut setup: impl FnMut(&Arc<StorageEngine>) -> Result<Arc<dyn ContractCodec>>,
-    ) -> Result<ShardedReplicaNode> {
-        assert!(config.shards > 0, "need at least one shard");
-        let mut shards = Vec::with_capacity(config.shards);
-        let mut workload_codec = None;
-        let mut router: Option<ShardRouter> = None;
-        for s in 0..config.shards {
-            let chain = open_shard_chain(config, s)?;
-            workload_codec = Some(setup(chain.engine())?);
-            // The router needs the catalog `setup` creates (to resolve
-            // replicated table names), so it is built after the first
-            // shard's genesis load; table ids are identical on every
-            // shard because creation order is identical.
-            let r = match &router {
-                Some(r) => r,
-                None => router.insert(build_router(config, chain.engine())?),
-            };
-            prune_to_owned(chain.engine(), r, s)?;
-            shards.push(chain);
-        }
-        let router = router.expect("at least one shard");
-        let codec: Arc<dyn ContractCodec> = Arc::new(MultiCodec::new(vec![
-            Arc::new(FragmentCodec),
-            workload_codec.expect("at least one shard"),
-        ]));
-        Ok(ShardedReplicaNode {
-            config: config.clone(),
-            router,
-            shards,
-            codec,
-            verifier: Verifier::new(&config.chain.provision, config.chain.crypto),
-            height: BlockId(0),
-            epoch: 0,
-            anchor: GlobalAnchor::Known(Digest::ZERO),
-            delivery_log: DeliveryLog::default(),
-            pending: BTreeMap::new(),
-            stats: BlockStats::default(),
-            roots: RootTracker::default(),
-            poison_next_gossip: false,
-            metrics: ReplicaMetrics::detached(),
-            shard_metrics: (0..config.shards)
-                .map(|_| TxnCounters::detached())
-                .collect(),
-            planner_metrics: PlannerMetrics::detached(),
-        })
-    }
-
-    /// Report into the given metric handles: replica-level counters and
-    /// histograms, one committed/aborted counter pair per hosted shard
-    /// (`per_shard`, in shard order), and the planner's classification
-    /// metrics. The defaults are detached handles.
-    pub fn set_metrics(
-        &mut self,
-        metrics: ReplicaMetrics,
-        per_shard: Vec<TxnCounters>,
-        planner: PlannerMetrics,
-    ) {
-        assert_eq!(
-            per_shard.len(),
-            self.shards.len(),
-            "one counter pair per shard"
-        );
-        self.roots
-            .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
-        metrics.hosted_shards.set(self.shards.len() as i64);
-        self.metrics = metrics;
-        self.shard_metrics = per_shard;
-        self.planner_metrics = planner;
-    }
-
-    /// Number of shards hosted.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The router placing transactions onto shards.
-    #[must_use]
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// One shard's chain (inspection / sync serving).
-    #[must_use]
-    pub fn shard_chain(&self, shard: usize) -> &OeChain {
-        &self.shards[shard]
-    }
-
-    /// The decoding registry (fragments + workload contracts).
-    #[must_use]
-    pub fn codec(&self) -> &Arc<dyn ContractCodec> {
-        &self.codec
-    }
-
-    /// Global height (every shard chain sits at this height, except
-    /// mid-recovery).
-    #[must_use]
-    pub fn height(&self) -> BlockId {
-        self.height
-    }
-
-    /// Per-shard heights — unequal only after a crash recovery that lost
-    /// some shards' checkpoints (state-sync then evens them out).
-    #[must_use]
-    pub fn shard_heights(&self) -> Vec<BlockId> {
-        self.shards.iter().map(OeChain::height).collect()
-    }
-
-    /// The verified global delivery log.
-    #[must_use]
-    pub fn delivery_log(&self) -> &DeliveryLog {
-        &self.delivery_log
-    }
-
-    /// Aggregated execution counters.
-    #[must_use]
-    pub fn stats(&self) -> &BlockStats {
-        &self.stats
-    }
-
-    /// Blocks buffered ahead of the next applicable height.
-    #[must_use]
-    pub fn pending_gap(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Root-gossip comparisons that disagreed.
-    #[must_use]
-    pub fn divergence_alarms(&self) -> u64 {
-        self.roots.alarms()
-    }
-
-    /// Per-shard state roots and their Merkle fold — what this replica
-    /// gossips and what a sharded block header would carry. O(M) over the
-    /// shards' cached commitment roots once warm; when any shard still
-    /// needs its one-time commitment build (first gossip, post-recovery),
-    /// the builds run in parallel across shards.
-    pub fn sharded_root(&self) -> Result<Digest> {
-        let shard_roots: Vec<Digest> = if self.shards.iter().all(OeChain::root_is_cached) {
-            self.shards
-                .iter()
-                .map(OeChain::state_root)
-                .collect::<Result<_>>()?
-        } else {
-            run_indexed(self.shards.len(), self.config.workers.max(1), |s| {
-                self.shards[s].state_root()
-            })
-            .into_iter()
-            .collect::<Result<_>>()?
-        };
-        Ok(sharded_state_root(&shard_roots))
-    }
-
-    /// Audit-oracle counterpart of [`Self::sharded_root`]: rebuilds every
-    /// shard's root from a full scan. Must always equal the cached fold.
-    pub fn sharded_root_oracle(&self) -> Result<Digest> {
-        let shard_roots: Vec<Digest> = self
-            .shards
-            .iter()
-            .map(|c| state_root(c.engine()))
-            .collect::<Result<_>>()?;
-        Ok(sharded_state_root(&shard_roots))
-    }
-
-    /// Shard-count-invariant digest of the logical database (the union of
-    /// the disjoint shard partitions) — comparable across deployments with
-    /// different M.
-    pub fn logical_state_root(&self) -> Result<Digest> {
-        logical_state_root(self.shards.iter().map(OeChain::engine))
-    }
-
-    /// Per-table digests of the logical database — the table-granular
-    /// decomposition of [`Self::logical_state_root`], equally
-    /// shard-count-invariant. The resharding equivalence tests compare
-    /// these so a divergence names the table that drifted.
-    pub fn logical_table_heads(&self) -> Result<Vec<(String, Digest)>> {
-        harmony_shard::logical_table_heads(self.shards.iter().map(OeChain::engine))
-    }
-
-    /// Receive one globally ordered sealed block. Buffers it if it is
-    /// ahead of the next height, then applies every consecutively
-    /// available block. Returns the blocks applied by this call.
-    pub fn deliver(&mut self, block: Arc<ChainBlock>) -> Result<Vec<Applied>> {
-        let seq = block.header.id.0;
-        if seq > self.height.0 {
-            self.pending.entry(seq).or_insert(block);
-        }
-        self.drain_pending()
-    }
-
-    /// Apply every buffered block that now connects to the global tip.
-    /// No-op while the global anchor is unknown (post-crash, pre-sync):
-    /// linkage of a delivered block cannot be verified without it.
-    pub fn drain_pending(&mut self) -> Result<Vec<Applied>> {
-        let mut applied = Vec::new();
-        let tip = self.height.0;
-        self.pending.retain(|s, _| *s > tip);
-        if matches!(self.anchor, GlobalAnchor::Unknown) {
-            return Ok(applied);
-        }
-        loop {
-            let next = self.height.0 + 1;
-            let Some(block) = self.pending.remove(&next) else {
-                break;
-            };
-            applied.push(self.apply(&block)?);
-        }
-        Ok(applied)
-    }
-
-    fn apply(&mut self, block: &ChainBlock) -> Result<Applied> {
-        let id = block.header.id;
-        let GlobalAnchor::Known(prev) = &self.anchor else {
-            return Err(Error::InvalidArgument(
-                "cannot apply without a global anchor".into(),
-            ));
-        };
-        block.verify(prev, &self.verifier)?;
-
-        // A topology-change block carries a single reshard marker instead
-        // of transactions; it must be recognized before contract decoding
-        // (the marker is not a contract payload).
-        if block.txns.len() == 1 {
-            if let Some(marker) = ReshardMarker::decode(&block.txns[0]) {
-                return self.apply_reshard(block, marker);
-            }
-        }
-
-        // Decode the global payloads, plan the block across shards, then
-        // seal + apply one sub-block per shard through its own chain (the
-        // sub-block hits the shard's logical block log before execution,
-        // exactly like a flat replica's blocks).
-        let txns: Result<Vec<_>> = block.txns.iter().map(|b| self.codec.decode(b)).collect();
-        let txns = txns?;
-        let stores: Vec<_> = self
-            .shards
-            .iter()
-            .map(|c| Arc::clone(c.snapshots()))
-            .collect();
-        let mut plan = plan_block(
-            &self.router,
-            &stores,
-            self.height,
-            &txns,
-            self.config.workers,
-            &self.config.latency,
-        );
-        self.planner_metrics.observe(&plan);
-        let log_sync_ns = self.config.chain.storage.log_sync_ns;
-        let mut shard_results = Vec::with_capacity(self.shards.len());
-        let mut shard_stage_ns = 0u64;
-        for (s, chain) in self.shards.iter_mut().enumerate() {
-            let sub = std::mem::take(&mut plan.shard_txns[s]);
-            // submit_block seals (one codec encode, into the shard's
-            // logical log) and executes the already-decoded contracts —
-            // no per-shard re-decode on the hot path. Decode fidelity is
-            // separately pinned by the recovery/state-sync tests, which
-            // replay the logged bytes through the codec.
-            let (_sealed, result) = chain.submit_block(sub, self.codec.as_ref())?;
-            let commit_serial = chain.dcc().commit_is_serial();
-            shard_stage_ns = shard_stage_ns.max(
-                schedule_block(&result, self.config.workers, commit_serial).total_ns()
-                    + log_sync_ns,
-            );
-            self.shard_metrics[s].observe(&result.stats);
-            shard_results.push(result);
-        }
-        let outcomes = plan.fold_outcomes(&shard_results)?;
-        let block_stats = plan.accumulate_stats(&outcomes, &shard_results);
-        self.stats.absorb(&block_stats);
-        self.metrics.txns.observe(&block_stats);
-
-        // Virtual-time charge: the cross stage (fragment exchange + the
-        // multi-partition re-simulation) runs in lockstep, then every
-        // shard executes its sub-block concurrently — the block costs the
-        // slowest shard. The sharded profile has no inter-block pipeline,
-        // so blocks are charged back-to-back.
-        let cost_ns =
-            plan.exchange_ns + makespan(&plan.cross_sim_ns, self.config.workers) + shard_stage_ns;
-        self.metrics.block_cost_ns.observe(cost_ns);
-
-        self.height = id;
-        self.anchor = GlobalAnchor::Known(block.header.hash());
-        self.delivery_log.observe(id.0, block.header.hash());
-
-        let committed = outcomes.iter().filter(|o| o.is_committed()).count();
-        let gossip_root = if id.0.is_multiple_of(self.config.gossip_every.max(1)) {
-            let mut root = self.sharded_root()?;
-            if self.poison_next_gossip {
-                root.0[0] ^= 0xFF;
-                self.poison_next_gossip = false;
-            }
-            self.roots.note_own(id.0, root);
-            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
-            Some(root)
-        } else {
-            None
-        };
-        Ok(Applied {
-            block: id,
-            committed,
-            cost_ns,
-            gossip_root,
-        })
-    }
-
-    /// Apply a topology-change block: re-host the logical database on
-    /// `marker.new_shards` shards, atomically, at this block's height.
-    ///
-    /// Because `apply` is strictly sequential in block order, every
-    /// in-flight sub-block is already drained when the marker lands. The
-    /// handover reuses the state-sync primitives end to end: each old
-    /// shard exports its checkpoint manifest ([`OeChain::export_snapshot`]
-    /// — the same manifest `serve_sharded_sync` ships), a split serves
-    /// each new shard its partition slice of those manifests, a merge
-    /// first re-verifies the folded sub-block logs (verified range
-    /// replay, [`OeChain::verify_chain`]) and then folds their slices,
-    /// and each new shard chain comes up via
-    /// [`OeChain::install_snapshot`]. The router swap
-    /// ([`ShardRouter::resharded`]) is the epoch boundary: partition→key
-    /// classification is untouched, so every commit/abort decision stays
-    /// shard-count-invariant and the logical state root is bit-identical
-    /// to a fixed-count run.
-    fn apply_reshard(&mut self, block: &ChainBlock, marker: ReshardMarker) -> Result<Applied> {
-        let id = block.header.id;
-        let hash = block.header.hash();
-        let new_count = marker.new_shards as usize;
-        if new_count == 0 {
-            return Err(Error::InvalidArgument(
-                "reshard marker with zero shards".into(),
-            ));
-        }
-        if new_count > self.config.partitions as usize {
-            return Err(Error::InvalidArgument(format!(
-                "reshard to {new_count} shards exceeds the {} logical partitions",
-                self.config.partitions
-            )));
-        }
-        let old_count = self.shards.len();
-        if new_count < old_count {
-            // Merge direction: the surviving shards absorb foreign rows,
-            // so the logs being folded are re-verified first (hash
-            // linkage + deterministic replay of each sub-block log).
-            for chain in &self.shards {
-                chain.verify_chain()?;
-            }
-        }
-        let exports = self
-            .shards
-            .iter()
-            .map(OeChain::export_snapshot)
-            .collect::<Result<Vec<_>>>()?;
-        let new_router = self.router.resharded(new_count);
-        // Catalog order is identical on every shard (creation order is
-        // identical), so table ids resolve against shard 0.
-        let catalog = self.shards[0].engine().list_tables();
-
-        let mut new_shards = Vec::with_capacity(new_count);
-        for s in 0..new_count {
-            let snapshot = slice_manifest(
-                &exports,
-                &catalog,
-                &new_router,
-                s,
-                id,
-                reshard_shard_anchor(&hash, marker.epoch, marker.new_shards, s),
-            );
-            let mut chain = open_shard_chain(&self.config, s)?;
-            chain.install_snapshot(&snapshot)?;
-            new_shards.push(chain);
-        }
-
-        self.shards = new_shards;
-        self.router = new_router;
-        self.config.shards = new_count;
-        self.epoch = marker.epoch;
-        self.shard_metrics
-            .resize_with(new_count, TxnCounters::detached);
-        self.height = id;
-        self.anchor = GlobalAnchor::Known(hash);
-        self.delivery_log.observe(id.0, hash);
-        self.metrics.reshards.inc();
-        self.metrics.hosted_shards.set(new_count as i64);
-
-        // The handover is charged like a sync serve/install round over
-        // every shard manifest that moved.
-        let cost_ns = RESHARD_HANDOVER_NS.saturating_mul((old_count + new_count) as u64);
-        self.metrics.block_cost_ns.observe(cost_ns);
-        let gossip_root = if id.0.is_multiple_of(self.config.gossip_every.max(1)) {
-            let mut root = self.sharded_root()?;
-            if self.poison_next_gossip {
-                root.0[0] ^= 0xFF;
-                self.poison_next_gossip = false;
-            }
-            self.roots.note_own(id.0, root);
-            self.metrics.root_fold_ns.observe(ROOT_FOLD_NS);
-            Some(root)
-        } else {
-            None
-        };
-        Ok(Applied {
-            block: id,
-            committed: 0,
-            cost_ns,
-            gossip_root,
-        })
-    }
-
-    /// Current topology epoch (0 until the first reshard marker applies).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Adopt a sync peer's topology epoch. A replica that crashed across
-    /// one or more reshard boundaries never replays those markers (the
-    /// manifest path skips them), so the sync reply carries the
-    /// authoritative epoch. Monotonic: a stale reply from a peer we
-    /// raced past can never rewind the local epoch.
-    pub fn adopt_epoch(&mut self, epoch: u64) {
-        self.epoch = self.epoch.max(epoch);
-    }
-
-    /// Adopt a serving peer's shard count ahead of applying its sync
-    /// response — the requester sits on the far side of a reshard
-    /// boundary (it crashed or partitioned across the epoch swap), so its
-    /// local layout is obsolete. Like [`Self::wipe_for_resync`], but onto
-    /// `new_count` fresh shard chains with a recounted router; the
-    /// response's full manifests then rebuild every shard.
-    pub fn reshape_for_sync(&mut self, new_count: usize) -> Result<()> {
-        if new_count == 0 {
-            return Err(Error::InvalidArgument(
-                "cannot reshape to zero shards".into(),
-            ));
-        }
-        let passed = self.height.0;
-        self.router = self.router.resharded(new_count);
-        self.config.shards = new_count;
-        self.shards = (0..new_count)
-            .map(|s| open_shard_chain(&self.config, s))
-            .collect::<Result<Vec<_>>>()?;
-        self.shard_metrics
-            .resize_with(new_count, TxnCounters::detached);
-        self.metrics.hosted_shards.set(new_count as i64);
-        self.height = BlockId(0);
-        self.anchor = GlobalAnchor::Unknown;
-        self.roots.reset_for_resync(passed);
-        Ok(())
-    }
-
-    /// Receive a peer's gossiped sharded state root.
-    pub fn on_peer_root(&mut self, height: u64, root: Digest) {
-        self.roots.note_peer(height, root);
-    }
-
-    /// Highest gossip height seen from any peer — evidence the cluster
-    /// is ahead of this node.
-    #[must_use]
-    pub fn peer_frontier(&self) -> u64 {
-        self.roots.peer_frontier()
-    }
-
-    /// The lowest gossip height where at least `quorum` root comparisons
-    /// disagreed with this replica's own root, if any — the signal that
-    /// *this* replica has diverged and should quarantine + re-sync.
-    #[must_use]
-    pub fn quarantine_signal(&self, quorum: u32) -> Option<u64> {
-        self.roots.quarantine_signal(quorum)
-    }
-
-    /// Fault-injection hook: flip a byte in the next gossiped (and
-    /// self-tracked) sharded root. Shard state stays intact.
-    pub fn poison_next_gossip(&mut self) {
-        self.poison_next_gossip = true;
-    }
-
-    /// Drop all local shard state ahead of a quarantine re-sync: reopen
-    /// every shard chain fresh (height 0, empty tables), drop the global
-    /// anchor, and clear comparison evidence. Buffered deliveries are
-    /// kept — they drain once `finish_sync` re-anchors the replica. After
-    /// this, a state-sync request advertises height 0 for every shard,
-    /// so the serving peer answers with full manifests.
-    pub fn wipe_for_resync(&mut self) -> Result<()> {
-        let passed = self.height.0;
-        for s in 0..self.shards.len() {
-            self.shards[s] = open_shard_chain(&self.config, s)?;
-        }
-        self.height = BlockId(0);
-        self.anchor = GlobalAnchor::Unknown;
-        self.roots.reset_for_resync(passed);
-        Ok(())
-    }
-
-    /// Crash: lose the delivery buffer and the in-memory global position
-    /// (shards' durable state is recovered separately).
-    pub fn crash(&mut self) {
-        self.pending.clear();
-        self.anchor = GlobalAnchor::Unknown;
-    }
-
-    /// Local recovery: every shard chain reloads its last checkpoint and
-    /// deterministically replays its own sub-block log. A shard that never
-    /// checkpointed honestly lands at height 0 with an empty catalog
-    /// (ready for a manifest install); the others replay back to the
-    /// height they had applied. The replica's global height drops to the
-    /// laggiest shard; the global anchor stays unknown until state-sync
-    /// re-establishes it.
-    pub fn recover_local(&mut self) -> Result<()> {
-        let codec = Arc::clone(&self.codec);
-        for chain in &mut self.shards {
-            chain.crash_and_recover(codec.as_ref())?;
-        }
-        self.height = self
-            .shards
-            .iter()
-            .map(OeChain::height)
-            .min()
-            .expect("at least one shard");
-        self.anchor = GlobalAnchor::Unknown;
-        Ok(())
-    }
-
-    /// Catch one shard up from a peer's verified sub-block range
-    /// (state-sync, per-shard phase 2). Returns the blocks applied.
-    pub fn catch_up_shard_from_blocks(
-        &mut self,
-        shard: usize,
-        blocks: &[ChainBlock],
-    ) -> Result<usize> {
-        let codec = Arc::clone(&self.codec);
-        self.shards[shard].replay_range(blocks, codec.as_ref())
-    }
-
-    /// Bootstrap one shard from a peer's checkpoint manifest, then replay
-    /// the accompanying sub-block tail (per-shard phases 1 + 2). A shard
-    /// holding any local state is wiped first — when a peer answers with a
-    /// manifest, the manifest is the complete truth for that shard's
-    /// partition.
-    pub fn bootstrap_shard_from_snapshot(
-        &mut self,
-        shard: usize,
-        snapshot: &harmony_chain::sync::StateSnapshot,
-        blocks: &[ChainBlock],
-    ) -> Result<usize> {
-        if snapshot.height > BlockId(0) && self.shards[shard].height() >= snapshot.height {
-            // Deliveries that drained while the response was in flight
-            // already carried this shard past the manifest point: its
-            // verified chain state is at least as new, so installing the
-            // older manifest would move backwards.
-            return Ok(0);
-        }
-        let fresh = self.shards[shard].height() == BlockId(0)
-            && self.shards[shard].engine().list_tables().is_empty();
-        if !fresh {
-            self.shards[shard] = open_shard_chain(&self.config, shard)?;
-        }
-        let before = self.shards[shard].height().0;
-        self.shards[shard].install_snapshot(snapshot)?;
-        let replayed = self.catch_up_shard_from_blocks(shard, blocks)?;
-        Ok((self.shards[shard].height().0 - before) as usize + replayed)
-    }
-
-    /// Finish a state-sync round: every shard must have landed on one
-    /// common height, at least the peer's served height. At exactly the
-    /// served height, the replica re-anchors on the peer's global block
-    /// hash; past it, the replica kept applying anchored deliveries while
-    /// the response was in flight and its own (newer) anchor stands.
-    /// Buffered deliveries beyond the tip drain immediately.
-    pub fn finish_sync(&mut self, height: BlockId, global_hash: Digest) -> Result<Vec<Applied>> {
-        let landed = self.shards[0].height();
-        for (s, chain) in self.shards.iter().enumerate() {
-            if chain.height() != landed {
-                return Err(Error::Corruption(format!(
-                    "shard {s} ended sync at {} (shard 0 at {landed})",
-                    chain.height()
-                )));
-            }
-        }
-        if landed < height {
-            return Err(Error::Corruption(format!(
-                "sync landed at {landed}, short of the served height {height}"
-            )));
-        }
-        if landed == height {
-            self.anchor = GlobalAnchor::Known(global_hash);
-        } else if matches!(self.anchor, GlobalAnchor::Unknown) {
-            return Err(Error::Corruption(format!(
-                "shards at {landed} past the served height {height} with no anchor"
-            )));
-        }
-        self.height = landed;
-        self.drain_pending()
-    }
-
-    /// The global block hash this replica is anchored at, if known —
-    /// served to syncing peers so they can re-anchor.
-    #[must_use]
-    pub fn global_hash(&self) -> Option<Digest> {
-        match &self.anchor {
-            GlobalAnchor::Known(h) => Some(*h),
-            GlobalAnchor::Unknown => None,
-        }
-    }
-}
-
 /// Virtual nanoseconds charged per shard manifest moved by a reshard
 /// handover (export + slice + install, same order of magnitude as a sync
 /// serve/replay round).
-const RESHARD_HANDOVER_NS: u64 = 250_000;
+pub(crate) const RESHARD_HANDOVER_NS: u64 = 250_000;
 
 /// Deterministic sub-chain continuation hash for new shard `shard` after
 /// a reshard at the global block with hash `global`. Every replica
 /// derives the same value, so the resharded sub-chains stay hash-chain
 /// compatible across replicas (range sync keeps working past the epoch
 /// boundary).
-fn reshard_shard_anchor(global: &Digest, epoch: u64, new_shards: u32, shard: usize) -> Digest {
+pub(crate) fn reshard_shard_anchor(
+    global: &Digest,
+    epoch: u64,
+    new_shards: u32,
+    shard: usize,
+) -> Digest {
     let mut buf = Vec::with_capacity(4 + 32 + 8 + 4 + 8);
     buf.extend_from_slice(b"HRS@");
     buf.extend_from_slice(&global.0);
@@ -835,7 +228,7 @@ fn reshard_shard_anchor(global: &Digest, epoch: u64, new_shards: u32, shard: usi
 /// owned rows, re-merged in key order; the recovery sidecar (undo
 /// images) is sliced by the same ownership rule so the installed shard
 /// recovers and re-simulates exactly like a shard that always existed.
-fn slice_manifest(
+pub(crate) fn slice_manifest(
     exports: &[StateSnapshot],
     catalog: &[(String, harmony_common::ids::TableId)],
     router: &ShardRouter,
@@ -896,6 +289,7 @@ fn slice_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_chain::ChainBlock;
     use harmony_crypto::KeyPair;
     use harmony_txn::encode_contract;
     use harmony_workloads::{Smallbank, SmallbankCodec, SmallbankConfig, Workload};
@@ -928,7 +322,7 @@ mod tests {
     }
 
     fn replica(engine: EngineKind, shards: usize) -> ShardedReplicaNode {
-        ShardedReplicaNode::new(&config(engine, shards), |eng| {
+        ShardedReplicaNode::new(config(engine, shards), |eng| {
             let mut w = Smallbank::new(smallbank_cfg());
             w.setup(eng)?;
             let (checking, savings) = w.tables();

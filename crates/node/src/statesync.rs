@@ -1,24 +1,26 @@
 //! The state-sync protocol: how a lagging replica catches up from a peer.
 //!
-//! Two phases, chosen by the serving peer:
+//! The requester sends its per-shard heights; the serving peer judges
+//! every shard independently and answers with one part per shard, each
+//! on one of two paths:
 //!
 //! 1. **Checkpoint manifest transfer** — when the requester is so far
 //!    behind that block-range replay is impossible (it predates the
 //!    peer's own local history) or uneconomical (the gap exceeds
 //!    [`SyncPolicy::snapshot_threshold`]), the peer ships a
-//!    [`StateSnapshot`] of its state at the current height, plus any
-//!    blocks it commits afterwards.
-//! 2. **Block-range replay** — otherwise the peer serves its verified
-//!    block log after the requester's height and the requester replays it
-//!    deterministically.
+//!    [`StateSnapshot`] of the shard's state at the current height, plus
+//!    any blocks it commits afterwards.
+//! 2. **Block-range replay** — otherwise the peer serves the shard's
+//!    verified block log after the requester's height and the requester
+//!    replays it deterministically.
 //!
-//! A **sharded** replica runs the same two-phase protocol *per shard*
-//! ([`serve_sharded_sync`] / [`apply_sharded_sync`]): each shard's
-//! position is judged independently, so one crashed shard can take the
-//! manifest path (its checkpoint never landed) while a sibling replays a
-//! verified sub-block range. The sharded response also carries the peer's
-//! global block hash, re-anchoring the requester's global chain position
-//! (which is in-memory state lost by a crash).
+//! One crashed shard can thus take the manifest path (its checkpoint
+//! never landed) while a sibling replays a verified sub-block range
+//! ([`serve_sharded_sync`] / [`apply_sharded_sync`]). The response also
+//! carries the peer's global block hash, re-anchoring the requester's
+//! global chain position (which is in-memory state lost by a crash). A
+//! one-partition (flat) replica is the one-part case, anchored at its
+//! chain's last hash.
 //!
 //! All responses carry real serialized sizes so the discrete-event
 //! network charges honest transfer time.
@@ -29,7 +31,6 @@ use harmony_common::{BlockId, Error, Result};
 use harmony_crypto::Digest;
 
 use crate::replica::ReplicaNode;
-use crate::sharded::ShardedReplicaNode;
 
 /// Serving-side policy for sync requests.
 #[derive(Clone, Copy, Debug)]
@@ -105,7 +106,7 @@ impl RetryPolicy {
     }
 }
 
-/// A peer's answer to a `SyncRequest { from }`.
+/// One shard's part of a [`ShardedSyncResponse`].
 #[derive(Clone, Debug)]
 pub enum SyncResponse {
     /// Replay these verified blocks (all with id > the requested height).
@@ -161,8 +162,7 @@ impl SyncResponse {
 }
 
 /// Serve a sync request against one chain: decide manifest vs range per
-/// `policy` and the chain's own local history — shared by the flat path
-/// and each shard of the sharded path.
+/// `policy` and the chain's own local history.
 fn serve_chain(chain: &OeChain, from: BlockId, policy: SyncPolicy) -> Result<SyncResponse> {
     let (base, _) = chain.base();
     let gap = chain.height().0.saturating_sub(from.0);
@@ -179,28 +179,7 @@ fn serve_chain(chain: &OeChain, from: BlockId, policy: SyncPolicy) -> Result<Syn
     }
 }
 
-/// Serve a sync request against `peer`'s chain: decide manifest vs range
-/// per `policy` and the peer's own local history.
-pub fn serve_sync(peer: &ReplicaNode, from: BlockId, policy: SyncPolicy) -> Result<SyncResponse> {
-    serve_chain(peer.chain(), from, policy)
-}
-
-/// Apply a sync response at the requesting replica. Returns the number of
-/// blocks applied (snapshot installs count as the height jump).
-pub fn apply_sync(replica: &mut ReplicaNode, response: &SyncResponse) -> Result<u64> {
-    match response {
-        SyncResponse::Range(blocks) => Ok(replica.catch_up_from_blocks(blocks)? as u64),
-        SyncResponse::Snapshot(snapshot, blocks) => {
-            let before = replica.height().0;
-            replica.bootstrap_from_snapshot(snapshot, blocks)?;
-            Ok(replica.height().0 - before)
-        }
-    }
-}
-
-// ── Sharded state-sync ──────────────────────────────────────────────────
-
-/// A sharded peer's answer to a per-shard sync request: one independently
+/// A peer's answer to a `SyncRequest { from }`: one independently
 /// decided manifest-or-range part per shard, all ending at the peer's
 /// common height, plus the global-chain anchor the requester lost in the
 /// crash.
@@ -279,7 +258,7 @@ impl ShardedSyncResponse {
 /// itself (anchored, shards level) — the cluster only routes sync
 /// requests to stable replicas.
 pub fn serve_sharded_sync(
-    peer: &ShardedReplicaNode,
+    peer: &ReplicaNode,
     from: &[BlockId],
     policy: SyncPolicy,
 ) -> Result<ShardedSyncResponse> {
@@ -322,7 +301,7 @@ pub struct ShardedSyncApplied {
 /// buffered deliveries drain. Returns what happened per path (the
 /// crash-rejoin tests assert both paths were actually exercised).
 pub fn apply_sharded_sync(
-    replica: &mut ShardedReplicaNode,
+    replica: &mut ReplicaNode,
     response: &ShardedSyncResponse,
 ) -> Result<ShardedSyncApplied> {
     if response.parts.len() != replica.shards() {
@@ -460,12 +439,17 @@ mod tests {
         let policy = SyncPolicy {
             snapshot_threshold: 8,
         };
+        let range = serve_sharded_sync(&peer, &[BlockId(8)], policy).unwrap();
         assert!(matches!(
-            serve_sync(&peer, BlockId(8), policy).unwrap(),
-            SyncResponse::Range(ref b) if b.len() == 4
+            range.parts.as_slice(),
+            [SyncResponse::Range(b)] if b.len() == 4
         ));
-        let resp = serve_sync(&peer, BlockId(0), policy).unwrap();
-        assert!(matches!(resp, SyncResponse::Snapshot(..)));
+        assert_eq!(range.global_hash, peer.chain().last_hash());
+        let resp = serve_sharded_sync(&peer, &[BlockId(0)], policy).unwrap();
+        assert!(matches!(
+            resp.parts.as_slice(),
+            [SyncResponse::Snapshot(..)]
+        ));
         assert!(resp.transfer_bytes() > 0);
     }
 
@@ -478,13 +462,13 @@ mod tests {
             snapshot_threshold: 8,
         };
         // Range path: all bytes are range bytes.
-        let range = serve_sync(&peer, BlockId(8), policy).unwrap();
+        let range = serve_sharded_sync(&peer, &[BlockId(8)], policy).unwrap();
         assert_eq!(range.manifest_bytes(), 0);
         assert_eq!(range.range_bytes(), range.transfer_bytes());
         assert!(range.range_bytes() > 64, "blocks plus header");
         // Manifest path: the manifest dominates, and the two shares
         // partition the total exactly.
-        let snap = serve_sync(&peer, BlockId(0), policy).unwrap();
+        let snap = serve_sharded_sync(&peer, &[BlockId(0)], policy).unwrap();
         assert!(snap.manifest_bytes() > 0);
         assert_eq!(
             snap.manifest_bytes() + snap.range_bytes(),
@@ -538,9 +522,9 @@ mod tests {
         let mut peer = ycsb_replica(5);
         let mut rng = harmony_common::DetRng::new(2);
         advance(&mut peer, 10, &mut rng);
-        let resp = serve_sync(
+        let resp = serve_sharded_sync(
             &peer,
-            BlockId(0),
+            &[BlockId(0)],
             SyncPolicy {
                 snapshot_threshold: 4,
             },
@@ -568,8 +552,9 @@ mod tests {
             },
         )
         .unwrap();
-        let jumped = apply_sync(&mut joiner_fresh, &resp).unwrap();
-        assert_eq!(jumped, 10);
+        let applied = apply_sharded_sync(&mut joiner_fresh, &resp).unwrap();
+        assert_eq!(applied.blocks, 10);
+        assert_eq!(applied.manifest_shards, 1);
         assert_eq!(joiner_fresh.height(), peer.height());
         assert_eq!(
             joiner_fresh.state_root().unwrap(),

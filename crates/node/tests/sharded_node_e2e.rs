@@ -341,6 +341,53 @@ fn tpcc_declared_footprints_route_single_shard() {
     );
 }
 
+#[test]
+fn tpcc_crash_rejoin_syncs_every_shard_through_the_manifest() {
+    // A crash before any shard checkpoints (period 10, stagger 1000):
+    // every shard, including its full copy of the replicated `item`
+    // table, must come back through a checkpoint-manifest install.
+    use harmony_workloads::TpccConfig;
+    for shards in [2, 4] {
+        let mut cfg = config(
+            EngineKind::Harmony(HarmonyConfig::default()),
+            ClusterWorkload::Tpcc(TpccConfig {
+                warehouses: 4,
+                scale: 0.01,
+                ..TpccConfig::default()
+            }),
+            OrderingMode::Kafka { brokers: 3 },
+            Some(CrashPlan {
+                replica: 2,
+                at_ns: 4_000_000,
+                recover_at_ns: 8_000_000,
+            }),
+            shards,
+        );
+        cfg.replica.chain.checkpoint_every = 10;
+        cfg.topology = Some(ShardTopology {
+            shards,
+            partitions: PARTITIONS,
+            partitioning: None,
+            checkpoint_stagger: 1_000,
+        });
+        cfg.open_loop = OpenLoopConfig {
+            clients: 6,
+            rate_tps: 20_000.0,
+            hot_share: 0.0,
+        };
+        cfg.load_ns = 10_000_000;
+        let report = Cluster::new(cfg).run().unwrap();
+        let label = format!("tpcc {shards} shards crash");
+        assert!(report.consistent, "{label}: {:#?}", report.replicas);
+        let crashed = &report.replicas[2];
+        assert_eq!(crashed.recoveries, 1, "{label}");
+        assert_eq!(
+            crashed.sync_manifest_shards, shards as u64,
+            "{label}: {crashed:?}"
+        );
+    }
+}
+
 /// Value of the first exposition sample whose name+labels match exactly.
 fn metric_value(exposition: &str, name_and_labels: &str) -> u64 {
     let line = exposition

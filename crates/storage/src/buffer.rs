@@ -207,7 +207,7 @@ impl BufferPool {
             let Some(victim) = victim else {
                 // No eligible victim (all pinned, or all dirty under
                 // no-steal); allow temporary overflow rather than failing.
-                // The pool shrinks again after the next flush.
+                // `flush_all` shrinks the pool back to capacity.
                 return Ok(());
             };
             let frame = inner.frames.remove(&victim).expect("victim present");
@@ -221,7 +221,9 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write back every dirty frame (checkpoint path). Frames stay cached.
+    /// Write back every dirty frame (checkpoint path), then evict clean
+    /// unpinned frames, least recently used first, until the pool is back
+    /// within capacity — the overflow no-steal dirty frames forced.
     pub fn flush_all(&self) -> Result<()> {
         let frames: Vec<Arc<Frame>> = {
             let inner = self.inner.lock();
@@ -236,6 +238,23 @@ impl BufferPool {
             }
         }
         self.disk.sync()?;
+        let mut inner = self.inner.lock();
+        let excess = inner.frames.len().saturating_sub(self.capacity);
+        if excess > 0 {
+            // One sort instead of `evict_if_full`'s scan per victim. Under
+            // the lock, a frame only the pool references cannot be pinned
+            // or dirtied concurrently.
+            let mut victims: Vec<(u64, PageId)> = inner
+                .frames
+                .values()
+                .filter(|f| Arc::strong_count(f) == 1 && !f.is_dirty())
+                .map(|f| (f.last_used.load(Ordering::Relaxed), f.page_id))
+                .collect();
+            victims.sort_unstable_by_key(|v| v.0);
+            for (_, id) in victims.into_iter().take(excess) {
+                inner.frames.remove(&id);
+            }
+        }
         Ok(())
     }
 
@@ -328,6 +347,34 @@ mod tests {
         f.mark_dirty();
         drop(f);
         assert!(p.cached_frames() <= 7);
+    }
+
+    #[test]
+    fn no_steal_flush_shrinks_the_pool_to_capacity() {
+        let p = pool(4);
+        let (pinned_id, pinned) = p.allocate().unwrap();
+        pinned.data.write().bytes_mut()[0] = 0xCD;
+        pinned.mark_dirty();
+        for i in 0..15u8 {
+            let (_, f) = p.allocate().unwrap();
+            f.data.write().bytes_mut()[0] = i;
+            f.mark_dirty();
+        }
+        assert_eq!(
+            p.cached_frames(),
+            16,
+            "dirty frames overflow under no-steal"
+        );
+        p.flush_all().unwrap();
+        assert!(
+            p.cached_frames() <= 4,
+            "{} frames cached",
+            p.cached_frames()
+        );
+        // The pinned frame stays cached, intact, and is the one fetched.
+        assert_eq!(pinned.data.read().bytes()[0], 0xCD);
+        assert!(Arc::ptr_eq(&pinned, &p.fetch(pinned_id).unwrap()));
+        assert_eq!(p.stats().misses, 0);
     }
 
     #[test]

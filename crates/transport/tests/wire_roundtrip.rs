@@ -10,15 +10,14 @@
 use std::sync::Arc;
 
 use harmony_chain::{ChainBlock, StateSnapshot, TableDump};
-use harmony_common::BlockId;
+use harmony_common::{BlockId, Error};
 use harmony_crypto::{CryptoCost, Digest, KeyPair};
 use harmony_node::cluster::Msg;
 use harmony_node::{
-    submission_trace, ClusterConfig, ClusterWorkload, ShardedSyncResponse, SyncFrom, SyncReplyBody,
-    SyncResponse,
+    submission_trace, ClusterConfig, ClusterWorkload, ShardedSyncResponse, SyncResponse,
 };
 use harmony_transport::wire::{
-    decode_ctl, encode_ctl, frame_tag, read_frame, CtlMsg, WireCodec, MAX_FRAME_BYTES,
+    decode_ctl, encode_ctl, frame_tag, read_frame, CtlMsg, WireCodec, MAX_FRAME_BYTES, WIRE_VERSION,
 };
 use harmony_workloads::{SmallbankConfig, TpccConfig, YcsbConfig};
 use proptest::prelude::*;
@@ -128,37 +127,22 @@ fn every_msg_variant_roundtrips_bit_identically() {
                 root: digest(0x42),
             },
             Msg::SyncRequest {
-                from: SyncFrom::Flat(9),
-                epoch: 1,
-            },
-            Msg::SyncRequest {
-                from: SyncFrom::Sharded(vec![BlockId(1), BlockId(0), BlockId(u64::MAX)]),
+                from: vec![BlockId(1), BlockId(0), BlockId(u64::MAX)],
                 epoch: 2,
             },
             Msg::SyncReply {
-                response: Arc::new(SyncReplyBody::Flat(SyncResponse::Range(vec![
-                    block(2, txns.clone(), 13),
-                    block(3, Vec::new(), 13),
-                ]))),
-                epoch: 3,
-            },
-            Msg::SyncReply {
-                response: Arc::new(SyncReplyBody::Flat(SyncResponse::Snapshot(
-                    Box::new(snapshot(4, 3)),
-                    vec![block(5, txns.clone(), 14)],
-                ))),
-                epoch: 4,
-            },
-            Msg::SyncReply {
-                response: Arc::new(SyncReplyBody::Sharded(ShardedSyncResponse {
+                response: Arc::new(ShardedSyncResponse {
                     height: BlockId(6),
                     global_hash: digest(0x66),
                     epoch: 2,
                     parts: vec![
                         SyncResponse::Range(vec![block(6, txns.clone(), 15)]),
-                        SyncResponse::Snapshot(Box::new(snapshot(6, 0)), Vec::new()),
+                        SyncResponse::Snapshot(
+                            Box::new(snapshot(6, 3)),
+                            vec![block(7, txns.clone(), 14)],
+                        ),
                     ],
-                })),
+                }),
                 epoch: 5,
             },
             Msg::SyncRefused { epoch: u64::MAX },
@@ -274,78 +258,54 @@ fn oversized_length_prefix_is_refused() {
     assert!(matches!(read_frame(&mut empty), Ok(None)));
 }
 
-/// The reshard tags are wire-version-2 additions: the same bytes with
-/// the version byte rewritten to 1 must be refused (a v1 peer never
-/// emits them, so their appearance on a v1 frame is corruption), while
-/// every pre-existing tag still decodes as v1.
+/// Only the current wire version decodes: a frame declaring version 1
+/// or 2 — whatever its tag — is `Error::Corruption`, never a panic, and
+/// routes nowhere.
 #[test]
-fn reshard_tags_are_rejected_on_version_1_frames() {
+fn v1_and_v2_frames_are_rejected_as_corruption() {
     let fx = &fixtures()[0];
-    let frame = fx.codec.encode_msg(&Msg::Reshard { new_shards: 4 });
-    let mut body = frame[4..].to_vec();
-    assert!(fx.codec.decode_msg(&body).is_ok(), "v2 frame decodes");
-    body[0] = 1;
-    let Err(err) = fx.codec.decode_msg(&body) else {
-        panic!("v1 reshard frame decoded");
-    };
-    assert!(
-        err.to_string().contains("wire version 2"),
-        "wrong error: {err}"
-    );
-
-    let ctl = encode_ctl(&CtlMsg::Reshard { new_shards: 2 });
-    let mut body = ctl[4..].to_vec();
-    assert!(decode_ctl(&body).is_ok());
-    body[0] = 1;
-    let err = decode_ctl(&body).unwrap_err();
-    assert!(
-        err.to_string().contains("wire version 2"),
-        "wrong error: {err}"
-    );
-
-    // A v1 tag on a v1 frame still decodes: version bumps are additive.
-    let frame = fx.codec.encode_msg(&Msg::Ack { seq: 9 });
-    let mut body = frame[4..].to_vec();
-    body[0] = 1;
-    assert!(fx.codec.decode_msg(&body).is_ok(), "v1 compat broken");
-}
-
-/// A v1 sharded sync reply has no topology-epoch field; decoding one
-/// must succeed and default the epoch to 0 (a v1 peer necessarily
-/// predates elastic resharding).
-#[test]
-fn v1_sharded_sync_reply_defaults_topology_epoch_to_zero() {
-    let fx = &fixtures()[0];
-    let msg = Msg::SyncReply {
-        response: Arc::new(SyncReplyBody::Sharded(ShardedSyncResponse {
-            height: BlockId(6),
-            global_hash: digest(0x66),
-            epoch: 0,
-            parts: vec![SyncResponse::Range(Vec::new())],
-        })),
-        epoch: 5,
-    };
-    let frame = fx.codec.encode_msg(&msg);
-    let mut body = frame[4..].to_vec();
-    // Body layout: version, tag, sync-epoch u64, kind u8, height u64,
-    // 32-byte digest, then the v2 topology-epoch u64. Strip it and mark
-    // the frame v1.
-    const EPOCH_AT: usize = 2 + 8 + 1 + 8 + 32;
-    body.drain(EPOCH_AT..EPOCH_AT + 8);
-    body[0] = 1;
-    match fx.codec.decode_msg(&body).expect("v1 reply decodes") {
-        Msg::SyncReply { response, epoch } => {
-            assert_eq!(epoch, 5);
-            match response.as_ref() {
-                SyncReplyBody::Sharded(resp) => {
-                    assert_eq!(resp.epoch, 0, "v1 peers are at topology epoch 0");
-                    assert_eq!(resp.height, BlockId(6));
-                    assert_eq!(resp.parts.len(), 1);
-                }
-                SyncReplyBody::Flat(_) => panic!("wrong reply body: flat"),
+    let msgs = [
+        Msg::Ack { seq: 9 },
+        Msg::Reshard { new_shards: 4 },
+        Msg::SyncRequest {
+            from: vec![BlockId(3)],
+            epoch: 1,
+        },
+        Msg::SyncReply {
+            response: Arc::new(ShardedSyncResponse {
+                height: BlockId(6),
+                global_hash: digest(0x66),
+                epoch: 0,
+                parts: vec![SyncResponse::Range(Vec::new())],
+            }),
+            epoch: 5,
+        },
+    ];
+    let ctls = [CtlMsg::StatusReq, CtlMsg::Reshard { new_shards: 2 }];
+    let bodies = msgs
+        .iter()
+        .map(|m| (true, fx.codec.encode_msg(m)))
+        .chain(ctls.iter().map(|c| (false, encode_ctl(c))));
+    for (is_msg, frame) in bodies {
+        let body = &frame[4..];
+        assert_eq!(body[0], WIRE_VERSION);
+        for old in [1u8, 2] {
+            let mut stale = body.to_vec();
+            stale[0] = old;
+            assert_eq!(frame_tag(&stale), None, "v{old} frame routed");
+            // Every prefix too: truncated old frames fail the same way.
+            for cut in 1..=stale.len() {
+                let err = if is_msg {
+                    fx.codec.decode_msg(&stale[..cut]).err()
+                } else {
+                    decode_ctl(&stale[..cut]).err()
+                };
+                assert!(
+                    matches!(err, Some(Error::Corruption(_))),
+                    "v{old} frame cut at {cut}: {err:?}"
+                );
             }
         }
-        _ => panic!("wrong message kind"),
     }
 }
 
@@ -372,7 +332,7 @@ proptest! {
             ..SmallbankConfig::default()
         }));
         let msg = Msg::SyncRequest {
-            from: SyncFrom::Sharded(vec![BlockId(3), BlockId(4)]),
+            from: vec![BlockId(3), BlockId(4)],
             epoch: 8,
         };
         let frame = fx.codec.encode_msg(&msg);
