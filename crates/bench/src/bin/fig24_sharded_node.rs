@@ -65,7 +65,6 @@ fn node_run(engine: EngineKind, shards: usize) -> harmony_node::ClusterReport {
         topology: Some(ShardTopology {
             shards,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 0,
         }),
         workload: ClusterWorkload::Smallbank(workload_config()),

@@ -42,7 +42,6 @@ fn main() {
         topology: Some(ShardTopology {
             shards: 2,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 0,
         }),
         workload: ClusterWorkload::Smallbank(SmallbankConfig {

@@ -25,7 +25,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ReshardAt, ReshardSchedule, ShardTopology,
     SyncPolicy,
 };
@@ -54,7 +54,7 @@ fn run(
     engine: EngineKind,
     shards: usize,
     reshards: ReshardSchedule,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
 ) -> ClusterReport {
     Cluster::new(ClusterConfig {
         replicas: 4,
@@ -72,7 +72,6 @@ fn run(
         topology: Some(ShardTopology {
             shards,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 0,
         }),
         workload: ClusterWorkload::Smallbank(SmallbankConfig {
@@ -82,7 +81,9 @@ fn run(
             multi_partition_ratio: 0.25,
         }),
         ordering: OrderingMode::Kafka { brokers: 3 },
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: crash
+            .map(|e| FaultSchedule::new(vec![e]))
+            .unwrap_or_default(),
         reshards,
         mempool: MempoolConfig::default(),
         open_loop: OpenLoopConfig {
@@ -171,7 +172,7 @@ fn main() {
         engine,
         1,
         split_schedule(),
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 2,
             at_ns: 4 * MS,
             recover_at_ns: 10 * MS,

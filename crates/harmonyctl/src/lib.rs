@@ -158,7 +158,6 @@ impl NetOptions {
             topology: (self.shards > 0).then_some(ShardTopology {
                 shards: self.shards,
                 partitions,
-                partitioning: None,
                 checkpoint_stagger: 0,
             }),
             workload,

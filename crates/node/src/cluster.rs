@@ -11,10 +11,9 @@
 //! the harness an N×M deployment.
 //!
 //! Scenario hooks: a [`FaultSchedule`] (see [`crate::fault`]) injects
-//! typed faults mid-run — multiple crash/rejoin cycles ([`CrashPlan`] is
-//! the one-crash compat constructor), partition windows, per-link
-//! drop/duplication/delay faults lowered onto the deterministic net
-//! model, sync-serve refusals, and root poisoning. Recovery is
+//! typed faults mid-run — multiple crash/rejoin cycles, partition
+//! windows, per-link drop/duplication/delay faults lowered onto the
+//! deterministic net model, sync-serve refusals, and root poisoning. Recovery is
 //! policy-driven: state-sync requests carry an epoch and time out
 //! ([`RetryPolicy`] — bounded retries, exponential backoff with
 //! deterministic jitter, failover around a candidate ring), a liveness
@@ -50,7 +49,7 @@ use harmony_workloads::{
     TpccConfig, Workload, Ycsb, YcsbCodec, YcsbConfig,
 };
 
-use crate::fault::{FaultEvent, FaultSchedule, ReshardSchedule};
+use crate::fault::{FaultSchedule, ReshardSchedule};
 use crate::mempool::{Mempool, MempoolConfig, MempoolMetrics, MempoolStats};
 use crate::metrics::{shard_txn_counters, ReplicaMetrics, TxnCounters, ROOT_FOLD_NS};
 use crate::replica::{Applied, ReplicaConfig, ReplicaNode};
@@ -176,8 +175,9 @@ pub enum OrderingMode {
 }
 
 /// Sharded-execution topology of every replica: M shards over a fixed
-/// logical partition count. `None` in [`ClusterConfig::topology`] keeps
-/// the flat single-engine replica.
+/// logical partition count, partitioned by the workload's
+/// [`ClusterWorkload::recommended_partitioning`]. `None` in
+/// [`ClusterConfig::topology`] keeps the flat single-engine replica.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardTopology {
     /// Physical shards hosted by every replica.
@@ -186,11 +186,6 @@ pub struct ShardTopology {
     /// decision is shard-count-invariant). Should match the workload's
     /// `partitions` knob.
     pub partitions: u32,
-    /// Partitioning-function override. `None` (the default) uses
-    /// [`ClusterWorkload::recommended_partitioning`] — entity-prefix
-    /// for TPC-C, whole-row hash otherwise. Must be identical on every
-    /// replica of a chain.
-    pub partitioning: Option<Partitioning>,
     /// Per-shard checkpoint-period stagger (see
     /// [`ShardedReplicaConfig::checkpoint_stagger`]).
     pub checkpoint_stagger: u64,
@@ -201,35 +196,8 @@ impl Default for ShardTopology {
         ShardTopology {
             shards: 4,
             partitions: 16,
-            partitioning: None,
             checkpoint_stagger: 0,
         }
-    }
-}
-
-/// Take one replica down at `at_ns` and bring it back at `recover_at_ns`
-/// (local checkpoint recovery + state-sync catch-up from a peer).
-///
-/// Compat constructor over the general [`FaultSchedule`]: the original
-/// one-crash scenario is now just a schedule with a single
-/// [`FaultEvent::Crash`] — convert with `.into()`.
-#[derive(Clone, Copy, Debug)]
-pub struct CrashPlan {
-    /// Replica index (0-based among replicas) to crash.
-    pub replica: usize,
-    /// Crash time (virtual ns).
-    pub at_ns: u64,
-    /// Recovery time (virtual ns).
-    pub recover_at_ns: u64,
-}
-
-impl From<CrashPlan> for FaultSchedule {
-    fn from(plan: CrashPlan) -> FaultSchedule {
-        FaultSchedule::new(vec![FaultEvent::Crash {
-            replica: plan.replica,
-            at_ns: plan.at_ns,
-            recover_at_ns: plan.recover_at_ns,
-        }])
     }
 }
 
@@ -498,7 +466,7 @@ pub const TIMER_RECOVER: u64 = 4;
 const TIMER_METRICS: u64 = 5;
 /// Per-replica liveness watchdog (armed on fault runs only).
 const TIMER_WATCHDOG: u64 = 6;
-/// Root-poison injection point ([`FaultEvent::PoisonRoot`]).
+/// Root-poison injection point ([`crate::FaultEvent::PoisonRoot`]).
 const TIMER_POISON: u64 = 7;
 /// Client-bank resubmission wakeup.
 const TIMER_RETRY: u64 = 8;
@@ -1011,7 +979,7 @@ pub struct ReplicaWrap {
     sync_epoch: u64,
     sync_attempt: u32,
     /// Windows during which this replica refuses to serve sync
-    /// ([`FaultEvent::SyncRefusal`]).
+    /// ([`crate::FaultEvent::SyncRefusal`]).
     refusals: Vec<(u64, u64)>,
     quarantine_quorum: u32,
     watchdog_ns: u64,
@@ -1710,9 +1678,7 @@ pub fn build_node(
             workers: cfg.replica.workers,
             shards: topology.shards.max(1),
             partitions: topology.partitions,
-            partitioning: topology
-                .partitioning
-                .unwrap_or_else(|| cfg.workload.recommended_partitioning()),
+            partitioning: cfg.workload.recommended_partitioning(),
             replicated_tables: cfg.workload.replicated_tables(),
             checkpoint_stagger: topology.checkpoint_stagger,
             latency: cfg.latency.clone(),

@@ -9,8 +9,9 @@
 //!   nonces, duplicate/gap rejection, bounded-queue backpressure, and
 //!   deterministic FIFO batching.
 //! * [`replica`] — [`ReplicaNode`], the one replica type: one
-//!   [`harmony_chain::OeChain`] per hosted shard (storage + snapshots +
-//!   any of the five DCC engines) consuming sealed blocks with ordered
+//!   [`harmony_shard::ShardGroup`] of [`harmony_chain::OeChain`]s, one per
+//!   hosted shard (storage + snapshots + any of the five DCC engines),
+//!   consuming sealed blocks with ordered
 //!   delivery (gap buffering), a verified delivery log, virtual-time cost
 //!   accounting, and state-root gossip for divergence detection. A flat
 //!   replica ([`ReplicaConfig`]) is its one-partition layout: the single
@@ -45,8 +46,8 @@ pub mod statesync;
 
 pub use cluster::{
     build_node, load_ns_for_txns, submission_trace, BlockSummary, Cluster, ClusterConfig,
-    ClusterLayout, ClusterNode, ClusterReport, ClusterWorkload, CrashPlan, Msg, NodeStatus,
-    OrderingMode, ReplicaSummary, ShardTopology, Submission, TIMER_CRASH, TIMER_RECOVER,
+    ClusterLayout, ClusterNode, ClusterReport, ClusterWorkload, Msg, NodeStatus, OrderingMode,
+    ReplicaSummary, ShardTopology, Submission, TIMER_CRASH, TIMER_RECOVER,
 };
 pub use fault::{FaultEvent, FaultSchedule, ReshardAt, ReshardSchedule};
 pub use mempool::{AdmitError, Mempool, MempoolConfig, MempoolMetrics, MempoolStats, PendingTxn};

@@ -2,7 +2,8 @@
 //!
 //! A [`ReplicaNode`] consumes **sealed blocks** from an ordering service
 //! and executes them on one [`OeChain`] per hosted shard (storage engine,
-//! snapshot store, and any [`harmony_sim::EngineKind`] DCC engine).
+//! snapshot store, and any [`harmony_sim::EngineKind`] DCC engine), held
+//! by one [`ShardGroup`].
 //! Delivery is *ordered*: blocks arriving ahead of the next height are
 //! buffered and applied once the gap closes, every applied block is
 //! appended to a verified [`DeliveryLog`] (sequence + header hash), and
@@ -19,13 +20,15 @@
 //!   with inter-block parallelism, Fabric with endorser lag), the gossip
 //!   root is the chain's own [`OeChain::state_root`], the global anchor
 //!   is the chain's last hash (so it survives a crash), and execution
-//!   cost extends a pipeline-aware makespan ([`BlockSchedule`]) exactly
+//!   cost extends a pipeline-aware makespan ([`flat_block_cost`]) exactly
 //!   like the experiment driver.
 //! * **More than one partition** — the block is verified against the
-//!   in-memory global anchor, planned across shards by
-//!   [`harmony_shard::plan_block`], and every shard seals and applies its
-//!   own sub-block on sharded-profile engines (see [`crate::sharded`]).
-//!   The gossip root is the Merkle fold of the per-shard roots.
+//!   in-memory global anchor and executed by the shard group
+//!   ([`ShardGroup::execute_block`]): planned across shards, then every
+//!   shard seals and applies its own sub-block on sharded-profile engines
+//!   (see [`crate::sharded`]). The gossip root is the Merkle fold of the
+//!   per-shard roots, and the cost is [`planned_block_ns`], as in the
+//!   experiment driver.
 //!
 //! Crash recovery, wipe, gossip, and the per-shard state-sync protocol
 //! ([`crate::statesync`]) are the same code for every layout.
@@ -37,15 +40,11 @@ use harmony_chain::sync::StateSnapshot;
 use harmony_chain::{sharded_state_root, state_root, ChainBlock, ChainConfig, OeChain};
 use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::DeliveryLog;
-use harmony_core::par::run_indexed;
 use harmony_core::BlockStats;
 use harmony_crypto::{Digest, Verifier};
 use harmony_metrics::Gauge;
-use harmony_shard::{
-    logical_state_root, plan_block, prune_to_owned, FragmentCodec, PlannerMetrics, ReshardMarker,
-    ShardRouter,
-};
-use harmony_sim::{makespan, pipeline_total_ns, schedule_block, BlockSchedule, EngineKind};
+use harmony_shard::{FragmentCodec, PlannerMetrics, ReshardMarker, ShardGroup, ShardRouter};
+use harmony_sim::{flat_block_cost, planned_block_ns, BlockSchedule, EngineKind};
 use harmony_storage::StorageEngine;
 use harmony_txn::{ContractCodec, MultiCodec};
 
@@ -230,8 +229,7 @@ impl RootTracker {
 /// stream. A flat replica is the one-shard, one-partition layout.
 pub struct ReplicaNode {
     config: ShardedReplicaConfig,
-    router: ShardRouter,
-    shards: Vec<OeChain>,
+    group: ShardGroup,
     codec: Arc<dyn ContractCodec>,
     verifier: Verifier,
     height: BlockId,
@@ -254,11 +252,9 @@ pub struct ReplicaNode {
     poison_next_gossip: bool,
     metrics: ReplicaMetrics,
     shard_metrics: Vec<TxnCounters>,
-    planner_metrics: PlannerMetrics,
-    /// One-partition layout: the schedules of the blocks applied since
-    /// the last crash or wipe, and the pipeline makespan charged so far.
-    schedules: Vec<BlockSchedule>,
-    charged_ns: u64,
+    /// One-partition layout: the schedule of the last block applied since
+    /// the last crash or wipe — the pipeline predecessor of the next.
+    prev_schedule: Option<BlockSchedule>,
 }
 
 impl ReplicaNode {
@@ -277,26 +273,23 @@ impl ReplicaNode {
     ) -> Result<ReplicaNode> {
         let config: ShardedReplicaConfig = config.into();
         assert!(config.shards > 0, "need at least one shard");
-        let mut shards = Vec::with_capacity(config.shards);
+        let chains = (0..config.shards)
+            .map(|s| open_shard_chain(&config, s))
+            .collect::<Result<Vec<_>>>()?;
         let mut workload_codec = None;
-        let mut router: Option<ShardRouter> = None;
-        for s in 0..config.shards {
-            let chain = open_shard_chain(&config, s)?;
-            workload_codec = Some(setup(chain.engine())?);
-            // The router needs the catalog `setup` creates (to resolve
-            // replicated table names), so it is built after the first
-            // shard's genesis load.
-            let r = match &router {
-                Some(r) => r,
-                None => router.insert(build_router(&config, chain.engine())?),
-            };
-            // A lone shard owns every row.
-            if config.shards > 1 {
-                prune_to_owned(chain.engine(), r, s)?;
-            }
-            shards.push(chain);
-        }
-        let router = router.expect("at least one shard");
+        // The router needs the catalog `setup` creates (to resolve
+        // replicated table names), so the group builds it after the first
+        // shard's genesis load.
+        let group = ShardGroup::genesis(
+            chains,
+            |engine| {
+                workload_codec = Some(setup(engine)?);
+                Ok(())
+            },
+            |catalog| build_router(&config, catalog),
+            config.latency.clone(),
+            config.workers,
+        )?;
         let workload_codec = workload_codec.expect("at least one shard");
         let codec: Arc<dyn ContractCodec> = if config.one_partition() {
             workload_codec
@@ -312,8 +305,7 @@ impl ReplicaNode {
                 .map(|_| TxnCounters::detached())
                 .collect(),
             config,
-            router,
-            shards,
+            group,
             codec,
             height: BlockId(0),
             epoch: 0,
@@ -324,9 +316,7 @@ impl ReplicaNode {
             roots: RootTracker::default(),
             poison_next_gossip: false,
             metrics: ReplicaMetrics::detached(),
-            planner_metrics: PlannerMetrics::detached(),
-            schedules: Vec::new(),
-            charged_ns: 0,
+            prev_schedule: None,
         })
     }
 
@@ -340,41 +330,37 @@ impl ReplicaNode {
         per_shard: Vec<TxnCounters>,
         planner: PlannerMetrics,
     ) {
-        assert_eq!(
-            per_shard.len(),
-            self.shards.len(),
-            "one counter pair per shard"
-        );
+        assert_eq!(per_shard.len(), self.shards(), "one counter pair per shard");
         self.roots
             .set_metrics(metrics.root_own_hwm.clone(), metrics.root_peer_hwm.clone());
-        metrics.hosted_shards.set(self.shards.len() as i64);
+        metrics.hosted_shards.set(self.shards() as i64);
         self.metrics = metrics;
         self.shard_metrics = per_shard;
-        self.planner_metrics = planner;
+        self.group.set_metrics(planner);
     }
 
     /// Number of shards hosted.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.group.shards()
     }
 
     /// The router placing transactions onto shards.
     #[must_use]
     pub fn router(&self) -> &ShardRouter {
-        &self.router
+        self.group.router()
     }
 
     /// Shard 0's chain — the whole chain on a one-partition layout.
     #[must_use]
     pub fn chain(&self) -> &OeChain {
-        &self.shards[0]
+        self.group.chain(0)
     }
 
     /// One shard's chain (inspection / sync serving).
     #[must_use]
     pub fn shard_chain(&self, shard: usize) -> &OeChain {
-        &self.shards[shard]
+        self.group.chain(shard)
     }
 
     /// The decoding registry (workload contracts, plus fragments when a
@@ -395,7 +381,7 @@ impl ReplicaNode {
     /// some shards' checkpoints (state-sync then evens them out).
     #[must_use]
     pub fn shard_heights(&self) -> Vec<BlockId> {
-        self.shards.iter().map(OeChain::height).collect()
+        self.group.chains().iter().map(OeChain::height).collect()
     }
 
     /// The verified global delivery log.
@@ -424,25 +410,15 @@ impl ReplicaNode {
 
     /// The root this replica gossips and reports: the chain's own state
     /// root on a one-partition layout, otherwise the Merkle fold of the
-    /// per-shard roots ([`sharded_state_root`]) — what a sharded block
-    /// header would carry. O(M) over the shards' cached commitment roots
-    /// once warm; when any shard still needs its one-time commitment build
-    /// (first gossip, post-recovery), the builds run in parallel across
-    /// shards.
+    /// per-shard roots ([`ShardGroup::state_roots`]) — what a sharded
+    /// block header would carry.
     pub fn state_root(&self) -> Result<Digest> {
-        let shard_roots: Vec<Digest> = if self.shards.iter().all(OeChain::root_is_cached) {
-            self.shards
-                .iter()
-                .map(OeChain::state_root)
-                .collect::<Result<_>>()?
+        let roots = self.group.state_roots()?;
+        Ok(if self.config.one_partition() {
+            roots.shard_roots[0]
         } else {
-            run_indexed(self.shards.len(), self.config.workers.max(1), |s| {
-                self.shards[s].state_root()
-            })
-            .into_iter()
-            .collect::<Result<_>>()?
-        };
-        Ok(self.fold_roots(&shard_roots))
+            roots.root
+        })
     }
 
     /// [`Self::state_root`], under the name the sharded callers use.
@@ -454,19 +430,16 @@ impl ReplicaNode {
     /// shard's root from a full scan. Must always equal the cached root.
     pub fn sharded_root_oracle(&self) -> Result<Digest> {
         let shard_roots: Vec<Digest> = self
-            .shards
+            .group
+            .chains()
             .iter()
             .map(|c| state_root(c.engine()))
             .collect::<Result<_>>()?;
-        Ok(self.fold_roots(&shard_roots))
-    }
-
-    fn fold_roots(&self, shard_roots: &[Digest]) -> Digest {
-        if self.config.one_partition() {
+        Ok(if self.config.one_partition() {
             shard_roots[0]
         } else {
-            sharded_state_root(shard_roots)
-        }
+            sharded_state_root(&shard_roots)
+        })
     }
 
     /// Shard-count-invariant digest of the logical database (the union of
@@ -474,7 +447,7 @@ impl ReplicaNode {
     /// different M, and equal to [`Self::state_root`] on a one-partition
     /// layout.
     pub fn logical_state_root(&self) -> Result<Digest> {
-        logical_state_root(self.shards.iter().map(OeChain::engine))
+        self.group.logical_state_root()
     }
 
     /// Per-table digests of the logical database — the table-granular
@@ -482,7 +455,7 @@ impl ReplicaNode {
     /// shard-count-invariant. The resharding equivalence tests compare
     /// these so a divergence names the table that drifted.
     pub fn logical_table_heads(&self) -> Result<Vec<(String, Digest)>> {
-        harmony_shard::logical_table_heads(self.shards.iter().map(OeChain::engine))
+        self.group.logical_table_heads()
     }
 
     /// Receive one globally ordered sealed block. Buffers it if it is
@@ -567,84 +540,44 @@ impl ReplicaNode {
 
     /// One-partition arm: the delivered block is the chain's own next
     /// block (verified, logged, decoded and executed by the chain). Returns
-    /// `(committed, cost_ns)`: the virtual-time charge extends the
-    /// pipeline-aware makespan exactly as the experiment driver schedules
-    /// blocks (group-commit log sync included), and charges only the
-    /// increment.
+    /// `(committed, cost_ns)`: the virtual-time charge is the step the
+    /// block adds to the pipeline-aware makespan, exactly as the
+    /// experiment driver schedules blocks (group-commit log sync included).
     fn apply_whole(&mut self, block: &ChainBlock) -> Result<(usize, u64)> {
-        let chain = &mut self.shards[0];
+        let chain = &mut self.group.chains_mut()[0];
         let result = chain.apply_sealed_block(block, self.codec.as_ref())?;
         self.stats.absorb(&result.stats);
         self.metrics.txns.observe(&result.stats);
         self.shard_metrics[0].observe(&result.stats);
-
-        let log_sync_ns = self.config.chain.storage.log_sync_ns;
-        let workers = self.config.workers;
-        let mut sched = schedule_block(&result, workers, chain.dcc().commit_is_serial());
-        sched.commit_ns += log_sync_ns;
-        sched.commit_work_ns += log_sync_ns;
-        sched.work_ns += log_sync_ns;
-        self.schedules.push(sched);
-        let total = pipeline_total_ns(&self.schedules, chain.dcc().pipeline_depth(), workers);
-        let cost_ns = total.saturating_sub(self.charged_ns);
-        self.charged_ns = total;
+        let (sched, cost_ns) = flat_block_cost(
+            self.prev_schedule.as_ref(),
+            &result,
+            chain.dcc().as_ref(),
+            self.config.workers,
+            self.config.chain.storage.log_sync_ns,
+        );
+        self.prev_schedule = Some(sched);
         Ok((result.stats.committed, cost_ns))
     }
 
-    /// Multi-partition arm: decode the global payloads, plan the block
-    /// across shards, then seal + apply one sub-block per shard through
-    /// its own chain (the sub-block hits the shard's logical block log
-    /// before execution). Returns `(committed, cost_ns)`.
+    /// Multi-partition arm: decode the global payloads and execute them
+    /// through the shard group (plan, then seal + apply one sub-block per
+    /// shard on its own chain). Returns `(committed, cost_ns)`.
     fn apply_planned(&mut self, block: &ChainBlock) -> Result<(usize, u64)> {
         let txns: Result<Vec<_>> = block.txns.iter().map(|b| self.codec.decode(b)).collect();
-        let txns = txns?;
-        let stores: Vec<_> = self
-            .shards
-            .iter()
-            .map(|c| Arc::clone(c.snapshots()))
-            .collect();
-        let mut plan = plan_block(
-            &self.router,
-            &stores,
-            self.height,
-            &txns,
-            self.config.workers,
-            &self.config.latency,
-        );
-        self.planner_metrics.observe(&plan);
-        let log_sync_ns = self.config.chain.storage.log_sync_ns;
-        let mut shard_results = Vec::with_capacity(self.shards.len());
-        let mut shard_stage_ns = 0u64;
-        for (s, chain) in self.shards.iter_mut().enumerate() {
-            let sub = std::mem::take(&mut plan.shard_txns[s]);
-            // submit_block seals (one codec encode, into the shard's
-            // logical log) and executes the already-decoded contracts —
-            // no per-shard re-decode on the hot path. Decode fidelity is
-            // separately pinned by the recovery/state-sync tests, which
-            // replay the logged bytes through the codec.
-            let (_sealed, result) = chain.submit_block(sub, self.codec.as_ref())?;
-            let commit_serial = chain.dcc().commit_is_serial();
-            shard_stage_ns = shard_stage_ns.max(
-                schedule_block(&result, self.config.workers, commit_serial).total_ns()
-                    + log_sync_ns,
-            );
-            self.shard_metrics[s].observe(&result.stats);
-            shard_results.push(result);
+        let result = self.group.execute_block(txns?, self.codec.as_ref())?;
+        for (counters, r) in self.shard_metrics.iter().zip(&result.shard_results) {
+            counters.observe(&r.stats);
         }
-        let outcomes = plan.fold_outcomes(&shard_results)?;
-        let block_stats = plan.accumulate_stats(&outcomes, &shard_results);
-        self.stats.absorb(&block_stats);
-        self.metrics.txns.observe(&block_stats);
-
-        // Virtual-time charge: the cross stage (fragment exchange + the
-        // multi-partition re-simulation) runs in lockstep, then every
-        // shard executes its sub-block concurrently — the block costs the
-        // slowest shard. The sharded profile has no inter-block pipeline,
-        // so blocks are charged back-to-back.
-        let cost_ns =
-            plan.exchange_ns + makespan(&plan.cross_sim_ns, self.config.workers) + shard_stage_ns;
-        let committed = outcomes.iter().filter(|o| o.is_committed()).count();
-        Ok((committed, cost_ns))
+        self.stats.absorb(&result.stats);
+        self.metrics.txns.observe(&result.stats);
+        let cost_ns = planned_block_ns(
+            &result,
+            self.config.workers,
+            self.group.chain(0).dcc().commit_is_serial(),
+            self.config.chain.storage.log_sync_ns,
+        );
+        Ok((result.stats.committed, cost_ns))
     }
 
     /// Apply a topology-change block: re-host the logical database on
@@ -668,24 +601,25 @@ impl ReplicaNode {
     fn apply_reshard(&mut self, id: BlockId, hash: &Digest, marker: ReshardMarker) -> Result<u64> {
         let new_count = marker.new_shards as usize;
         self.check_shard_count(new_count)?;
-        let old_count = self.shards.len();
+        let old_count = self.shards();
         if new_count < old_count {
             // Merge direction: the surviving shards absorb foreign rows,
             // so the logs being folded are re-verified first (hash
             // linkage + deterministic replay of each sub-block log).
-            for chain in &self.shards {
+            for chain in self.group.chains() {
                 chain.verify_chain()?;
             }
         }
         let exports = self
-            .shards
+            .group
+            .chains()
             .iter()
             .map(OeChain::export_snapshot)
             .collect::<Result<Vec<_>>>()?;
-        let new_router = self.router.resharded(new_count);
+        let new_router = self.router().resharded(new_count);
         // Catalog order is identical on every shard (creation order is
         // identical), so table ids resolve against shard 0.
-        let catalog = self.shards[0].engine().list_tables();
+        let catalog = self.chain().engine().list_tables();
 
         let mut new_shards = Vec::with_capacity(new_count);
         for s in 0..new_count {
@@ -702,8 +636,7 @@ impl ReplicaNode {
             new_shards.push(chain);
         }
 
-        self.shards = new_shards;
-        self.router = new_router;
+        self.group.replace(new_router, new_shards);
         self.config.shards = new_count;
         self.epoch = marker.epoch;
         self.shard_metrics
@@ -751,9 +684,8 @@ impl ReplicaNode {
     /// response's full manifests then rebuild every shard.
     pub fn reshape_for_sync(&mut self, new_count: usize) -> Result<()> {
         self.check_shard_count(new_count)?;
-        self.router = self.router.resharded(new_count);
         self.config.shards = new_count;
-        self.reopen(new_count)?;
+        self.reopen(self.router().resharded(new_count))?;
         self.shard_metrics
             .resize_with(new_count, TxnCounters::detached);
         self.metrics.hosted_shards.set(new_count as i64);
@@ -795,20 +727,20 @@ impl ReplicaNode {
     /// state-sync request advertises height 0 for every shard, so the
     /// serving peer answers with full manifests.
     pub fn wipe_for_resync(&mut self) -> Result<()> {
-        let count = self.shards.len();
-        self.reopen(count)
+        self.reopen(self.router().clone())
     }
 
-    /// Reopen `count` fresh shard chains at height 0 with no anchor.
-    fn reopen(&mut self, count: usize) -> Result<()> {
+    /// Reopen one fresh shard chain per shard of `router` at height 0
+    /// with no anchor.
+    fn reopen(&mut self, router: ShardRouter) -> Result<()> {
         let passed = self.height.0;
-        self.shards = (0..count)
+        let chains = (0..router.shards())
             .map(|s| open_shard_chain(&self.config, s))
             .collect::<Result<Vec<_>>>()?;
+        self.group.replace(router, chains);
         self.height = BlockId(0);
         self.anchor = None;
-        self.schedules.clear();
-        self.charged_ns = 0;
+        self.prev_schedule = None;
         self.roots.reset_for_resync(passed);
         Ok(())
     }
@@ -819,8 +751,7 @@ impl ReplicaNode {
     pub fn crash(&mut self) {
         self.pending.clear();
         self.anchor = None;
-        self.schedules.clear();
-        self.charged_ns = 0;
+        self.prev_schedule = None;
     }
 
     /// Local recovery: every shard chain reloads its last checkpoint and
@@ -831,13 +762,12 @@ impl ReplicaNode {
     /// laggiest shard; on a multi-partition layout the global anchor stays
     /// unknown until state-sync re-establishes it.
     pub fn recover_local(&mut self) -> Result<()> {
-        for chain in &mut self.shards {
+        for chain in self.group.chains_mut() {
             chain.crash_and_recover(self.codec.as_ref())?;
         }
         self.height = self
-            .shards
-            .iter()
-            .map(OeChain::height)
+            .shard_heights()
+            .into_iter()
             .min()
             .expect("at least one shard");
         self.anchor = None;
@@ -851,7 +781,7 @@ impl ReplicaNode {
         shard: usize,
         blocks: &[ChainBlock],
     ) -> Result<usize> {
-        let chain = &mut self.shards[shard];
+        let chain = &mut self.group.chains_mut()[shard];
         let applied = chain.replay_range(blocks, self.codec.as_ref())?;
         if self.config.one_partition() {
             // The single chain's blocks are the global blocks.
@@ -875,23 +805,23 @@ impl ReplicaNode {
         snapshot: &StateSnapshot,
         blocks: &[ChainBlock],
     ) -> Result<usize> {
-        if snapshot.height > BlockId(0) && self.shards[shard].height() >= snapshot.height {
+        if snapshot.height > BlockId(0) && self.shard_chain(shard).height() >= snapshot.height {
             // Deliveries that drained while the response was in flight
             // already carried this shard past the manifest point: its
             // verified chain state is at least as new, so installing the
             // older manifest would move backwards.
             return Ok(0);
         }
-        let before = self.shards[shard].height().0;
-        let fresh = before == 0 && self.shards[shard].engine().list_tables().is_empty();
+        let before = self.shard_chain(shard).height().0;
+        let fresh = before == 0 && self.shard_chain(shard).engine().list_tables().is_empty();
+        let chains = self.group.chains_mut();
         if !fresh {
-            self.shards[shard] = open_shard_chain(&self.config, shard)?;
-            self.schedules.clear();
-            self.charged_ns = 0;
+            chains[shard] = open_shard_chain(&self.config, shard)?;
+            self.prev_schedule = None;
         }
-        self.shards[shard].install_snapshot(snapshot)?;
+        chains[shard].install_snapshot(snapshot)?;
         self.catch_up_shard_from_blocks(shard, blocks)?;
-        Ok(self.shards[shard].height().0.saturating_sub(before) as usize)
+        Ok(self.shard_chain(shard).height().0.saturating_sub(before) as usize)
     }
 
     /// Finish a state-sync round: every shard must have landed on one
@@ -901,8 +831,8 @@ impl ReplicaNode {
     /// the response was in flight and its own (newer) anchor stands.
     /// Buffered deliveries beyond the tip drain immediately.
     pub fn finish_sync(&mut self, height: BlockId, global_hash: Digest) -> Result<Vec<Applied>> {
-        let landed = self.shards[0].height();
-        for (s, chain) in self.shards.iter().enumerate() {
+        let landed = self.chain().height();
+        for (s, chain) in self.group.chains().iter().enumerate() {
             if chain.height() != landed {
                 return Err(Error::Corruption(format!(
                     "shard {s} ended sync at {} (shard 0 at {landed})",
@@ -932,7 +862,7 @@ impl ReplicaNode {
     #[must_use]
     pub fn global_hash(&self) -> Option<Digest> {
         if self.config.one_partition() {
-            Some(self.shards[0].last_hash())
+            Some(self.chain().last_hash())
         } else {
             self.anchor
         }

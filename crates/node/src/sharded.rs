@@ -3,10 +3,11 @@
 //! commit with `harmony-node`'s ordered delivery and crash recovery.
 //!
 //! A [`ShardedReplicaConfig`] lays a [`ReplicaNode`] out over M
-//! **per-shard [`OeChain`]s** and P logical partitions. With more than
-//! one partition, each shard runs its engine in the sharded profile
-//! (rebuilt through a sharded `DccFactory` on recovery), and a globally
-//! ordered block is consumed in four steps:
+//! **per-shard [`OeChain`]s**, hosted by one [`harmony_shard::ShardGroup`],
+//! and P logical partitions. With more than one partition, each shard runs
+//! its engine in the sharded profile (rebuilt through a sharded
+//! `DccFactory` on recovery), and a globally ordered block is consumed in
+//! four steps:
 //!
 //! 1. verify its linkage/signature against the replica's **global** hash
 //!    chain,
@@ -20,6 +21,9 @@
 //! 4. fold per-shard state roots into the
 //!    [`harmony_chain::sharded_state_root`] gossiped for divergence
 //!    detection.
+//!
+//! Steps 2–4 are the shard group's; the replica keeps the global anchor,
+//! delivery order, gossip, crash/recovery and sync.
 //!
 //! Because fragments serialize their captured update commands, a shard's
 //! sub-block log replays **independently** of the other shards: crash
@@ -41,12 +45,12 @@ use std::sync::Arc;
 
 use harmony_chain::sync::{StateSnapshot, TableDump};
 use harmony_chain::{ChainConfig, DccFactory, OeChain};
+use harmony_common::ids::TableId;
 use harmony_common::{BlockId, Error, Result};
 use harmony_consensus::net::LatencyModel;
 use harmony_crypto::{sha256, Digest};
 use harmony_shard::{Partitioning, ShardRouter};
 use harmony_sim::EngineKind;
-use harmony_storage::StorageEngine;
 use harmony_txn::Key;
 
 use crate::replica::{ReplicaConfig, ReplicaNode};
@@ -169,13 +173,11 @@ pub(crate) fn open_shard_chain(config: &ShardedReplicaConfig, shard: usize) -> R
 }
 
 /// Build the shard router from the deployment's partitioning knob and
-/// replicated-table names, resolved against the catalog `setup` created
-/// on `engine`.
+/// replicated-table names, resolved against the catalog `setup` created.
 pub(crate) fn build_router(
     config: &ShardedReplicaConfig,
-    engine: &Arc<StorageEngine>,
+    catalog: &[(String, TableId)],
 ) -> Result<ShardRouter> {
-    let catalog = engine.list_tables();
     let mut replicated = Vec::with_capacity(config.replicated_tables.len());
     for name in &config.replicated_tables {
         let id = catalog
@@ -230,7 +232,7 @@ pub(crate) fn reshard_shard_anchor(
 /// recovers and re-simulates exactly like a shard that always existed.
 pub(crate) fn slice_manifest(
     exports: &[StateSnapshot],
-    catalog: &[(String, harmony_common::ids::TableId)],
+    catalog: &[(String, TableId)],
     router: &ShardRouter,
     shard: usize,
     height: BlockId,
@@ -291,6 +293,7 @@ mod tests {
     use super::*;
     use harmony_chain::ChainBlock;
     use harmony_crypto::KeyPair;
+    use harmony_storage::StorageEngine;
     use harmony_txn::encode_contract;
     use harmony_workloads::{Smallbank, SmallbankCodec, SmallbankConfig, Workload};
 

@@ -62,7 +62,6 @@ fn run_cluster(
         topology: sharded.then_some(ShardTopology {
             shards: 2,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 2,
         }),
         workload: ClusterWorkload::Smallbank(SmallbankConfig {

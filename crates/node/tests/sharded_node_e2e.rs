@@ -10,7 +10,7 @@ use harmony_chain::ChainConfig;
 use harmony_core::HarmonyConfig;
 use harmony_crypto::CryptoCost;
 use harmony_node::{
-    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, CrashPlan, FaultSchedule,
+    Cluster, ClusterConfig, ClusterReport, ClusterWorkload, FaultEvent, FaultSchedule,
     MempoolConfig, OrderingMode, ReplicaConfig, ShardTopology, SyncPolicy,
 };
 use harmony_sim::EngineKind;
@@ -52,7 +52,7 @@ fn config(
     engine: EngineKind,
     workload: ClusterWorkload,
     ordering: OrderingMode,
-    crash: Option<CrashPlan>,
+    crash: Option<FaultEvent>,
     shards: usize,
 ) -> ClusterConfig {
     ClusterConfig {
@@ -71,12 +71,13 @@ fn config(
         topology: Some(ShardTopology {
             shards,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 0,
         }),
         workload,
         ordering,
-        faults: crash.map(FaultSchedule::from).unwrap_or_default(),
+        faults: crash
+            .map(|e| FaultSchedule::new(vec![e]))
+            .unwrap_or_default(),
         mempool: MempoolConfig {
             capacity: 2_048,
             ..MempoolConfig::default()
@@ -170,7 +171,7 @@ fn crash_rejoin_mixes_manifest_and_range_paths_all_engines() {
             engine,
             smallbank(),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 2,
                 at_ns: 7_000_000,
                 recover_at_ns: 14_000_000,
@@ -180,7 +181,6 @@ fn crash_rejoin_mixes_manifest_and_range_paths_all_engines() {
         cfg.topology = Some(ShardTopology {
             shards: 4,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 1_000,
         });
         let report = Cluster::new(cfg).run().unwrap();
@@ -209,7 +209,7 @@ fn crash_rejoin_under_hotstuff_ordering() {
         EngineKind::Harmony(HarmonyConfig::default()),
         ycsb(),
         OrderingMode::HotStuff,
-        Some(CrashPlan {
+        Some(FaultEvent::Crash {
             replica: 3,
             at_ns: 7_000_000,
             recover_at_ns: 14_000_000,
@@ -219,7 +219,6 @@ fn crash_rejoin_under_hotstuff_ordering() {
     cfg.topology = Some(ShardTopology {
         shards: 4,
         partitions: PARTITIONS,
-        partitioning: None,
         checkpoint_stagger: 1_000,
     });
     let report = Cluster::new(cfg).run().unwrap();
@@ -236,7 +235,7 @@ fn sharded_cluster_runs_are_deterministic() {
             EngineKind::Aria,
             smallbank(),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 0,
                 at_ns: 7_000_000,
                 recover_at_ns: 14_000_000,
@@ -356,7 +355,7 @@ fn tpcc_crash_rejoin_syncs_every_shard_through_the_manifest() {
                 ..TpccConfig::default()
             }),
             OrderingMode::Kafka { brokers: 3 },
-            Some(CrashPlan {
+            Some(FaultEvent::Crash {
                 replica: 2,
                 at_ns: 4_000_000,
                 recover_at_ns: 8_000_000,
@@ -367,7 +366,6 @@ fn tpcc_crash_rejoin_syncs_every_shard_through_the_manifest() {
         cfg.topology = Some(ShardTopology {
             shards,
             partitions: PARTITIONS,
-            partitioning: None,
             checkpoint_stagger: 1_000,
         });
         cfg.open_loop = OpenLoopConfig {

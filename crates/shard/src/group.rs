@@ -1,5 +1,13 @@
-//! The shard group: one [`DccEngine`] per shard plus the deterministic
-//! cross-shard commit protocol.
+//! The shard group: one [`OeChain`] per shard plus the deterministic
+//! cross-shard commit protocol. It is the one shard host: the replica in
+//! `harmony-node` and the experiment driver in `harmony-sim` both execute
+//! planned blocks through it.
+//!
+//! The caller opens the chains, so it picks each shard's engine profile,
+//! storage and checkpoint period; the group loads genesis state, plans
+//! and executes blocks, and reads roots from the chains' commitments.
+//! Every executed sub-block is sealed into its shard's block log, so each
+//! shard keeps a verifiable hash-chained history at the global height.
 //!
 //! # Block anatomy
 //!
@@ -12,8 +20,8 @@
 //!    multi-partition transactions commit ([`decide_cross`]): a transaction
 //!    survives iff it conflicts with no earlier surviving one. Survivors
 //!    are therefore mutually conflict-free.
-//! 3. Each shard executes a sub-block through its own engine: first the
-//!    **fragments** of surviving multi-partition transactions (one
+//! 3. Each shard seals and executes a sub-block on its own chain: first
+//!    the **fragments** of surviving multi-partition transactions (one
 //!    synthetic contract per logical partition, in global sub-order), then
 //!    its single-partition transactions in global order.
 //!
@@ -40,81 +48,28 @@
 //! fails loudly if an engine ever violates it.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use harmony_chain::{fold_table_roots, sharded_state_root, StateCommitment};
+use harmony_chain::{fold_table_roots, sharded_state_root, OeChain};
 use harmony_common::error::AbortReason;
+use harmony_common::ids::TableId;
 use harmony_common::{BlockId, Result};
 use harmony_consensus::net::LatencyModel;
-use harmony_core::executor::{ExecBlock, TxnOutcome};
+use harmony_core::executor::TxnOutcome;
 use harmony_core::par::run_indexed;
-use harmony_core::{BlockStats, SnapshotStore};
+use harmony_core::BlockStats;
 use harmony_crypto::{AuthMap, Digest};
-use harmony_dcc_baselines::{DccEngine, ProtocolBlockResult};
-use harmony_storage::{StorageConfig, StorageEngine};
-use harmony_txn::{Contract, Key, RangePredicate, RwSet};
+use harmony_dcc_baselines::ProtocolBlockResult;
+use harmony_storage::StorageEngine;
+use harmony_txn::{Contract, ContractCodec, Key, RangePredicate, RwSet};
 
 use crate::metrics::PlannerMetrics;
 use crate::plan::{plan_block, Slot};
 use crate::router::ShardRouter;
 
-/// Shard-group configuration.
-#[derive(Clone, Debug)]
-pub struct ShardGroupConfig {
-    /// Storage configuration cloned per shard (each shard opens its own
-    /// engine; the in-memory engines never contend on a path).
-    pub storage: StorageConfig,
-    /// Network model for the read-fragment exchange between shards.
-    pub latency: LatencyModel,
-    /// Worker cores for the multi-partition simulation step.
-    pub cross_workers: usize,
-}
-
-impl Default for ShardGroupConfig {
-    fn default() -> Self {
-        ShardGroupConfig {
-            storage: StorageConfig::default(),
-            latency: LatencyModel::lan_1g(),
-            cross_workers: 8,
-        }
-    }
-}
-
-impl ShardGroupConfig {
-    /// All-in-memory, zero-cost configuration for tests.
-    #[must_use]
-    pub fn in_memory() -> ShardGroupConfig {
-        ShardGroupConfig {
-            storage: StorageConfig::memory(),
-            ..ShardGroupConfig::default()
-        }
-    }
-}
-
-struct ShardNode {
-    engine: Arc<StorageEngine>,
-    store: Arc<SnapshotStore>,
-    dcc: Arc<dyn DccEngine>,
-    /// Incrementally maintained state commitment of this shard's
-    /// partition. Lazily built on the first [`ShardGroup::state_roots`];
-    /// thereafter each executed sub-block folds its write-set in.
-    commit: Mutex<Option<StateCommitment>>,
-}
-
-/// This shard's cached state root, building the commitment if needed.
-fn shard_state_root(node: &ShardNode) -> Result<Digest> {
-    let mut guard = node.commit.lock().expect("commit lock");
-    if guard.is_none() {
-        *guard = Some(StateCommitment::build(&node.engine)?);
-    }
-    Ok(guard.as_mut().expect("just built").root())
-}
-
 /// Result of pushing one block through the group.
 #[derive(Debug)]
 pub struct ShardBlockResult {
-    /// The block.
-    pub block: BlockId,
     /// Outcome per transaction, in the submitted global order.
     pub outcomes: Vec<TxnOutcome>,
     /// Raw per-shard engine results (sub-block order).
@@ -162,45 +117,61 @@ pub struct ShardedRoot {
     pub root: Digest,
 }
 
-/// A group of shards executing one ordered chain of blocks.
+/// A group of shard chains executing one ordered stream of blocks.
 pub struct ShardGroup {
     router: ShardRouter,
-    nodes: Vec<ShardNode>,
+    chains: Vec<OeChain>,
     latency: LatencyModel,
-    cross_workers: usize,
-    height: BlockId,
+    workers: usize,
     metrics: PlannerMetrics,
 }
 
 impl ShardGroup {
-    /// Build a group: one storage engine + snapshot store + DCC engine per
-    /// shard. `build` constructs the engine over a shard's store — use the
-    /// same engine kind and configuration for every shard.
-    pub fn new(
-        router: ShardRouter,
-        config: &ShardGroupConfig,
-        build: impl Fn(Arc<SnapshotStore>) -> Arc<dyn DccEngine>,
+    /// Load genesis state into `chains` (one per shard) and host them.
+    /// `load` runs on every shard's engine in shard order (table ids come
+    /// out identical because creation order is identical); `route` builds
+    /// the router from the catalog the first load created; each shard is
+    /// then pruned down to the rows it owns before the next one loads. A
+    /// lone shard owns every row, so it is not scanned. `latency` models
+    /// the read-fragment exchange; `workers` are the cores of the
+    /// multi-partition simulation step and of cold root builds.
+    ///
+    /// # Panics
+    /// Panics if the router's layout does not match the chain count.
+    pub fn genesis(
+        chains: Vec<OeChain>,
+        mut load: impl FnMut(&Arc<StorageEngine>) -> Result<()>,
+        route: impl FnOnce(&[(String, TableId)]) -> Result<ShardRouter>,
+        latency: LatencyModel,
+        workers: usize,
     ) -> Result<ShardGroup> {
-        let mut nodes = Vec::with_capacity(router.shards());
-        for _ in 0..router.shards() {
-            let engine = Arc::new(StorageEngine::open(&config.storage)?);
-            let store = Arc::new(SnapshotStore::new(Arc::clone(&engine)));
-            let dcc = build(Arc::clone(&store));
-            nodes.push(ShardNode {
-                engine,
-                store,
-                dcc,
-                commit: Mutex::new(None),
-            });
+        load(chains[0].engine())?;
+        let router = route(&chains[0].engine().list_tables())?;
+        assert_eq!(router.shards(), chains.len(), "one chain per shard");
+        for (s, chain) in chains.iter().enumerate() {
+            if s > 0 {
+                load(chain.engine())?;
+            }
+            if chains.len() > 1 {
+                prune_to_owned(chain.engine(), &router, s)?;
+            }
         }
         Ok(ShardGroup {
             router,
-            nodes,
-            latency: config.latency.clone(),
-            cross_workers: config.cross_workers.max(1),
-            height: BlockId(0),
+            chains,
+            latency,
+            workers: workers.max(1),
             metrics: PlannerMetrics::detached(),
         })
+    }
+
+    /// Swap in a new layout — `chains` hosted under `router` — keeping the
+    /// planner metrics, latency model and workers (a reshard handover or a
+    /// wipe ahead of state-sync).
+    pub fn replace(&mut self, router: ShardRouter, chains: Vec<OeChain>) {
+        assert_eq!(router.shards(), chains.len(), "one chain per shard");
+        self.router = router;
+        self.chains = chains;
     }
 
     /// Report planner decisions into the given metric handles (the
@@ -218,115 +189,98 @@ impl ShardGroup {
     /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.nodes.len()
+        self.chains.len()
     }
 
-    /// Current height (blocks executed).
+    /// Height of shard 0's chain — every shard's height after an executed
+    /// block.
     #[must_use]
     pub fn height(&self) -> BlockId {
-        self.height
+        self.chains[0].height()
     }
 
-    /// A shard's storage engine (inspection / workload setup).
+    /// One shard's chain.
     #[must_use]
-    pub fn engine(&self, shard: usize) -> &Arc<StorageEngine> {
-        &self.nodes[shard].engine
+    pub fn chain(&self, shard: usize) -> &OeChain {
+        &self.chains[shard]
     }
 
-    /// A shard's snapshot store.
+    /// Every shard's chain, in shard order.
     #[must_use]
-    pub fn store(&self, shard: usize) -> &Arc<SnapshotStore> {
-        &self.nodes[shard].store
+    pub fn chains(&self) -> &[OeChain] {
+        &self.chains
     }
 
-    /// A shard's DCC engine.
-    #[must_use]
-    pub fn dcc(&self, shard: usize) -> &Arc<dyn DccEngine> {
-        &self.nodes[shard].dcc
-    }
-
-    /// Load the initial database: run `load` on every shard's engine (table
-    /// ids come out identical because creation order is identical), then
-    /// prune each shard down to the rows it owns. After this, every shard
-    /// holds exactly its partition of the database.
-    ///
-    /// Typical call: `group.setup_with(|engine| workload.setup(engine))`.
-    pub fn setup_with(&mut self, mut load: impl FnMut(&StorageEngine) -> Result<()>) -> Result<()> {
-        assert_eq!(self.height, BlockId(0), "setup must precede execution");
-        for (s, node) in self.nodes.iter().enumerate() {
-            load(&node.engine)?;
-            prune_to_owned(&node.engine, &self.router, s)?;
-        }
-        Ok(())
+    /// Every shard's chain, mutably (recovery, sync install).
+    pub fn chains_mut(&mut self) -> &mut [OeChain] {
+        &mut self.chains
     }
 
     /// Execute the next block of the global order: plan it through the
-    /// shared cross-shard planner ([`crate::plan::plan_block`]), run each
-    /// shard's sub-block through its engine, and fold the outcomes back
-    /// into global order.
-    pub fn execute_block(&mut self, txns: Vec<Arc<dyn Contract>>) -> Result<ShardBlockResult> {
-        let id = self.height.next();
-        let snapshot = self.height;
-        let stores: Vec<Arc<SnapshotStore>> =
-            self.nodes.iter().map(|n| Arc::clone(&n.store)).collect();
+    /// shared cross-shard planner ([`crate::plan::plan_block`]), seal and
+    /// execute each shard's sub-block on its chain, and fold the outcomes
+    /// back into global order. `codec` encodes the sub-blocks into the
+    /// shards' block logs.
+    pub fn execute_block(
+        &mut self,
+        txns: Vec<Arc<dyn Contract>>,
+        codec: &dyn ContractCodec,
+    ) -> Result<ShardBlockResult> {
+        let stores: Vec<_> = self
+            .chains
+            .iter()
+            .map(|c| Arc::clone(c.snapshots()))
+            .collect();
         let mut plan = plan_block(
             &self.router,
             &stores,
-            snapshot,
+            self.height(),
             &txns,
-            self.cross_workers,
+            self.workers,
             &self.latency,
         );
         self.metrics.observe(&plan);
-        let mut shard_results = Vec::with_capacity(self.shards());
-        for (s, node) in self.nodes.iter().enumerate() {
+        let mut shard_results = Vec::with_capacity(self.chains.len());
+        for (s, chain) in self.chains.iter_mut().enumerate() {
             let sub = std::mem::take(&mut plan.shard_txns[s]);
-            shard_results.push(node.dcc.execute_block(&ExecBlock::new(id, sub))?);
-            // Fold this sub-block's write-set into the shard commitment
-            // (now — the per-shard block log is GC'd by the next block).
-            let mut guard = node.commit.lock().expect("commit lock");
-            if let Some(c) = guard.as_mut() {
-                c.apply_writes(&node.engine, &node.store.keys_written_in(id))?;
-            }
+            // submit_block seals (one codec encode, into the shard's
+            // logical log) and executes the already-decoded contracts —
+            // no per-shard re-decode on the hot path. Decode fidelity is
+            // pinned by the recovery/state-sync tests, which replay the
+            // logged bytes through the codec.
+            let (_sealed, result) = chain.submit_block(sub, codec)?;
+            shard_results.push(result);
         }
         let outcomes = plan.fold_outcomes(&shard_results)?;
         let stats = plan.accumulate_stats(&outcomes, &shard_results);
-        let cross_committed = plan.cross_committed();
-
-        self.height = id;
         Ok(ShardBlockResult {
-            block: id,
             outcomes,
             shard_results,
-            slots: plan.slots,
             cross_txns: plan.cross_idx.len(),
-            cross_committed,
+            cross_committed: plan.cross_committed(),
+            slots: plan.slots,
             cross_sim_ns: plan.cross_sim_ns,
             exchange_ns: plan.exchange_ns,
             stats,
         })
     }
 
-    /// Per-shard state roots and their Merkle fold. The fold commits to
-    /// the physical layout (leaf = shard), so it is what a sharded block
-    /// header carries but is *not* comparable across shard counts — use
-    /// [`Self::logical_state_root`] for that.
-    /// O(M) over cached per-shard commitment roots on a warm group; when
-    /// any shard still needs its one-time commitment build (first call, or
-    /// after recovery), the builds run in parallel across shards.
+    /// Per-shard state roots, read from the chains' commitments, and their
+    /// Merkle fold. The fold commits to the physical layout (leaf =
+    /// shard), so it is what a sharded block header carries but is *not*
+    /// comparable across shard counts — use [`Self::logical_state_root`]
+    /// for that. O(M) over cached roots on a warm group; when any shard
+    /// still needs its one-time commitment build (first call, or after
+    /// recovery), the builds run in parallel across shards.
     pub fn state_roots(&self) -> Result<ShardedRoot> {
-        let all_cached = self
-            .nodes
-            .iter()
-            .all(|n| n.commit.lock().expect("commit lock").is_some());
-        let shard_roots: Vec<Digest> = if all_cached {
-            self.nodes
+        let shard_roots: Vec<Digest> = if self.chains.iter().all(OeChain::root_is_cached) {
+            self.chains
                 .iter()
-                .map(shard_state_root)
+                .map(OeChain::state_root)
                 .collect::<Result<_>>()?
         } else {
-            run_indexed(self.nodes.len(), self.cross_workers, |s| {
-                shard_state_root(&self.nodes[s])
+            run_indexed(self.chains.len(), self.workers, |s| {
+                self.chains[s].state_root()
             })
             .into_iter()
             .collect::<Result<_>>()?
@@ -335,22 +289,47 @@ impl ShardGroup {
         Ok(ShardedRoot { shard_roots, root })
     }
 
-    /// Hash of the *logical* database — see [`logical_state_root`].
+    /// Hash of the *logical* database — the union of the disjoint shard
+    /// partitions, digested exactly like `harmony_chain::state_root`.
+    /// Independent of how many shards host the data: a 1-shard deployment
+    /// and an N-shard one fed the same blocks produce the same logical root
+    /// (the equivalence property tests pin this, for both the shard group
+    /// and the replicated node runtime).
     pub fn logical_state_root(&self) -> Result<Digest> {
-        logical_state_root(self.nodes.iter().map(|n| &n.engine))
+        Ok(fold_table_roots(&self.logical_table_heads()?))
+    }
+
+    /// Per-table digests of the logical database — the table-granular
+    /// decomposition of [`Self::logical_state_root`], equally
+    /// shard-count-invariant. The resharding equivalence tests compare
+    /// these head lists so a divergence names the table that drifted
+    /// instead of one opaque root.
+    pub fn logical_table_heads(&self) -> Result<Vec<(String, Digest)>> {
+        let mut heads: Vec<(String, Digest)> = Vec::new();
+        for (name, id) in self.chains[0].engine().list_tables() {
+            // The authenticated map is history independent, so upserting
+            // the disjoint shard partitions in any order commits to exactly
+            // the merged table — the same digest `harmony_chain::state_root`
+            // gives a 1-shard deployment of the same logical database.
+            let mut merged = AuthMap::new();
+            for chain in &self.chains {
+                chain.engine().scan(id, b"", None, |k, v| {
+                    merged.upsert(k, v);
+                    true
+                })?;
+            }
+            heads.push((name, merged.root()));
+        }
+        Ok(heads)
     }
 }
 
 /// Delete every row `shard` does not own under `router` — the second
-/// phase of shard setup (after loading the full database on every
-/// shard's engine). One definition serves both shard hosts: the
-/// single-process [`ShardGroup`] and `harmony-node`'s sharded replica,
-/// so their genesis partitions can never drift apart.
-///
-/// Tables the router marks replicated keep their full contents on every
-/// shard (read-only dimension tables — see
+/// phase of genesis (after loading the full database on every shard's
+/// engine). Tables the router marks replicated keep their full contents on
+/// every shard (read-only dimension tables — see
 /// [`ShardRouter::with_replicated`]).
-pub fn prune_to_owned(engine: &StorageEngine, router: &ShardRouter, shard: usize) -> Result<()> {
+fn prune_to_owned(engine: &StorageEngine, router: &ShardRouter, shard: usize) -> Result<()> {
     for (_, table) in engine.list_tables() {
         if router.is_replicated(table) {
             continue;
@@ -367,47 +346,6 @@ pub fn prune_to_owned(engine: &StorageEngine, router: &ShardRouter, shard: usize
         }
     }
     Ok(())
-}
-
-/// Hash of the *logical* database hosted by a set of shard engines — the
-/// union of the disjoint shard partitions, merged per table in key order,
-/// digested exactly like `harmony_chain::state_root`. Independent of how
-/// many shards host the data: a 1-shard deployment and an N-shard one fed
-/// the same blocks produce the same logical root (the equivalence property
-/// tests pin this, for both the single-process group and the replicated
-/// sharded node runtime).
-pub fn logical_state_root<'a>(
-    engines: impl IntoIterator<Item = &'a Arc<StorageEngine>>,
-) -> Result<Digest> {
-    Ok(fold_table_roots(&logical_table_heads(engines)?))
-}
-
-/// Per-table digests of the logical database hosted by a set of shard
-/// engines — the table-granular decomposition of [`logical_state_root`].
-/// Shard-count-invariant for the same reason the folded root is; the
-/// elastic-resharding equivalence tests compare these head lists so a
-/// divergence names the table that drifted instead of one opaque root.
-pub fn logical_table_heads<'a>(
-    engines: impl IntoIterator<Item = &'a Arc<StorageEngine>>,
-) -> Result<Vec<(String, Digest)>> {
-    let engines: Vec<&Arc<StorageEngine>> = engines.into_iter().collect();
-    assert!(!engines.is_empty(), "need at least one shard engine");
-    let mut heads: Vec<(String, Digest)> = Vec::new();
-    for (name, id) in engines[0].list_tables() {
-        // The authenticated map is history independent, so upserting the
-        // disjoint shard partitions in any order commits to exactly the
-        // merged table — the same digest `harmony_chain::state_root` gives
-        // a 1-shard deployment of the same logical database.
-        let mut merged = AuthMap::new();
-        for engine in &engines {
-            engine.scan(id, b"", None, |k, v| {
-                merged.upsert(k, v);
-                true
-            })?;
-        }
-        heads.push((name, merged.root()));
-    }
-    Ok(heads)
 }
 
 /// The deterministic cross-shard commit decision (a pure function).
@@ -459,8 +397,8 @@ pub fn decide_cross(rwsets: &[Option<RwSet>]) -> Vec<TxnOutcome> {
 mod tests {
     use super::*;
     use crate::partition::HashPartitioner;
-    use harmony_chain::state_root;
-    use harmony_common::ids::TableId;
+    use crate::plan::FragmentCodec;
+    use harmony_chain::{state_root, ChainConfig};
     use harmony_core::HarmonyConfig;
     use harmony_dcc_baselines::HarmonyEngine;
     use harmony_txn::{FnContract, TxnCtx, UpdateCommand, UserAbort};
@@ -471,24 +409,44 @@ mod tests {
         Key::from_u64(TABLE, id)
     }
 
-    /// Group of `shards` shards over 8 logical partitions, Harmony engines
-    /// (inter-block parallelism off — the sharded profile), `keys` records
+    /// Host one in-memory chain per shard of `router` — Harmony engines in
+    /// the sharded profile (inter-block parallelism off), no checkpoints —
+    /// with `load` as the genesis loader.
+    fn open_group(
+        router: ShardRouter,
+        load: impl FnMut(&Arc<StorageEngine>) -> Result<()>,
+    ) -> ShardGroup {
+        let chains = (0..router.shards())
+            .map(|_| {
+                OeChain::open_with_factory(
+                    ChainConfig {
+                        checkpoint_every: 0,
+                        ..ChainConfig::in_memory()
+                    },
+                    Arc::new(|store, next, _| {
+                        Arc::new(HarmonyEngine::starting_at(
+                            store,
+                            HarmonyConfig {
+                                inter_block_parallelism: false,
+                                workers: 2,
+                                ..HarmonyConfig::default()
+                            },
+                            next,
+                            None,
+                        ))
+                    }),
+                )
+                .unwrap()
+            })
+            .collect();
+        ShardGroup::genesis(chains, load, |_| Ok(router), LatencyModel::lan_1g(), 8).unwrap()
+    }
+
+    /// Group of `shards` shards over 8 logical partitions, `keys` records
     /// valued 100.
     fn group(shards: usize, keys: u64) -> ShardGroup {
         let router = ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards);
-        let config = ShardGroupConfig::in_memory();
-        let mut g = ShardGroup::new(router, &config, |store| {
-            Arc::new(HarmonyEngine::new(
-                store,
-                HarmonyConfig {
-                    inter_block_parallelism: false,
-                    workers: 2,
-                    ..HarmonyConfig::default()
-                },
-            ))
-        })
-        .unwrap();
-        g.setup_with(|engine| {
+        open_group(router, |engine| {
             let t = engine.create_table("t")?;
             assert_eq!(t, TABLE);
             for i in 0..keys {
@@ -496,8 +454,11 @@ mod tests {
             }
             Ok(())
         })
-        .unwrap();
-        g
+    }
+
+    /// Execute one block (the default codec encodes every contract).
+    fn run(g: &mut ShardGroup, txns: Vec<Arc<dyn Contract>>) -> ShardBlockResult {
+        g.execute_block(txns, &FragmentCodec).unwrap()
     }
 
     /// `add(w, delta)` for each write key after reading each read key, with
@@ -521,7 +482,12 @@ mod tests {
     fn read_i64(g: &ShardGroup, id: u64) -> i64 {
         let k = key(id);
         let shard = g.router().shard_of_key(&k);
-        let v = g.engine(shard).get(TABLE, k.row()).unwrap().unwrap();
+        let v = g
+            .chain(shard)
+            .engine()
+            .get(TABLE, k.row())
+            .unwrap()
+            .unwrap();
         i64::from_le_bytes(v.as_slice().try_into().unwrap())
     }
 
@@ -542,19 +508,7 @@ mod tests {
     fn group_with_dim(shards: usize, keys: u64, dim_rows: u64) -> ShardGroup {
         let router =
             ShardRouter::new(Arc::new(HashPartitioner::new(8)), shards).with_replicated(vec![DIM]);
-        let config = ShardGroupConfig::in_memory();
-        let mut g = ShardGroup::new(router, &config, |store| {
-            Arc::new(HarmonyEngine::new(
-                store,
-                HarmonyConfig {
-                    inter_block_parallelism: false,
-                    workers: 2,
-                    ..HarmonyConfig::default()
-                },
-            ))
-        })
-        .unwrap();
-        g.setup_with(|engine| {
+        open_group(router, |engine| {
             let t = engine.create_table("t")?;
             assert_eq!(t, TABLE);
             let dim = engine.create_table("prices")?;
@@ -567,8 +521,6 @@ mod tests {
             }
             Ok(())
         })
-        .unwrap();
-        g
     }
 
     /// Read a dimension row, then add its value to a fact row — declares
@@ -595,11 +547,11 @@ mod tests {
         let mut fact_total = 0;
         for s in 0..4 {
             assert_eq!(
-                g.engine(s).table_len(DIM).unwrap(),
+                g.chain(s).engine().table_len(DIM).unwrap(),
                 16,
                 "shard {s} must host the full dimension table"
             );
-            fact_total += g.engine(s).table_len(TABLE).unwrap();
+            fact_total += g.chain(s).engine().table_len(TABLE).unwrap();
         }
         assert_eq!(fact_total, 64, "fact table still partitioned exactly once");
     }
@@ -610,8 +562,8 @@ mod tests {
             || -> Vec<Arc<dyn Contract>> { (0..16).map(|i| dim_lookup_txn(i % 16, i)).collect() };
         let mut one = group_with_dim(1, 64, 16);
         let mut four = group_with_dim(4, 64, 16);
-        let r1 = one.execute_block(block()).unwrap();
-        let r4 = four.execute_block(block()).unwrap();
+        let r1 = run(&mut one, block());
+        let r4 = run(&mut four, block());
         // Dimension reads are placement-invisible: no txn goes cross.
         assert_eq!(
             r4.cross_txns, 0,
@@ -630,9 +582,10 @@ mod tests {
         let g = group(4, 64);
         let mut total = 0;
         for s in 0..4 {
-            let len = g.engine(s).table_len(TABLE).unwrap();
+            let len = g.chain(s).engine().table_len(TABLE).unwrap();
             assert!(len > 0, "shard {s} owns nothing");
-            g.engine(s)
+            g.chain(s)
+                .engine()
                 .scan(TABLE, b"", None, |k, _| {
                     assert_eq!(g.router().shard_of_key(&Key::new(TABLE, k.to_vec())), s);
                     true
@@ -647,7 +600,7 @@ mod tests {
     fn local_txns_run_on_their_shards() {
         let mut g = group(4, 64);
         let txns: Vec<Arc<dyn Contract>> = (0..8).map(|i| add_txn(vec![], vec![i], 1)).collect();
-        let res = g.execute_block(txns).unwrap();
+        let res = run(&mut g, txns);
         assert_eq!(res.cross_txns, 0);
         assert_eq!(res.stats.committed, 8);
         assert_eq!(res.exchange_ns, 0, "no cross txns, no exchange");
@@ -669,7 +622,7 @@ mod tests {
             })
             .with_footprint(vec![key(a), key(b)]),
         );
-        let res = g.execute_block(vec![transfer]).unwrap();
+        let res = run(&mut g, vec![transfer]);
         assert_eq!(res.cross_txns, 1);
         assert_eq!(res.cross_committed, 1);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
@@ -686,7 +639,7 @@ mod tests {
         let mut g = group(4, 64);
         let (a, b) = cross_pair(&g);
         let t = |delta: i64| add_txn(vec![], vec![a, b], delta);
-        let res = g.execute_block(vec![t(1), t(2), t(4)]).unwrap();
+        let res = run(&mut g, vec![t(1), t(2), t(4)]);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
         assert_eq!(
             res.outcomes[1],
@@ -705,7 +658,7 @@ mod tests {
         let mut g = group(2, 64);
         let (a, b) = cross_pair(&g);
         // Block 1: bump a.
-        g.execute_block(vec![add_txn(vec![], vec![a], 5)]).unwrap();
+        run(&mut g, vec![add_txn(vec![], vec![a], 5)]);
         // Block 2: a cross txn that copies a's value delta onto b must read
         // the state *after* block 1.
         let copier: Arc<dyn Contract> = Arc::new(
@@ -723,7 +676,7 @@ mod tests {
             })
             .with_footprint(vec![key(a), key(b)]),
         );
-        let res = g.execute_block(vec![copier]).unwrap();
+        let res = run(&mut g, vec![copier]);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
         assert_eq!(read_i64(&g, b), 105);
     }
@@ -736,7 +689,7 @@ mod tests {
                 ctx.add_i64(key(3), 0, 7);
                 Ok(())
             }));
-        let res = g.execute_block(vec![opaque]).unwrap();
+        let res = run(&mut g, vec![opaque]);
         assert_eq!(res.cross_txns, 1);
         assert_eq!(res.outcomes[0], TxnOutcome::Committed);
         assert_eq!(read_i64(&g, 3), 107);
@@ -745,10 +698,10 @@ mod tests {
     #[test]
     fn logical_root_matches_chain_state_root_on_one_shard() {
         let mut g = group(1, 64);
-        g.execute_block(vec![add_txn(vec![], vec![0], 1)]).unwrap();
+        run(&mut g, vec![add_txn(vec![], vec![0], 1)]);
         assert_eq!(
             g.logical_state_root().unwrap(),
-            state_root(g.engine(0)).unwrap()
+            state_root(g.chain(0).engine()).unwrap()
         );
     }
 
@@ -757,7 +710,7 @@ mod tests {
         let mut g = group(4, 64);
         let before = g.state_roots().unwrap();
         assert_eq!(before.shard_roots.len(), 4);
-        g.execute_block(vec![add_txn(vec![], vec![0], 1)]).unwrap();
+        run(&mut g, vec![add_txn(vec![], vec![0], 1)]);
         let after = g.state_roots().unwrap();
         assert_ne!(before.root, after.root);
         // Only key 0's owner shard changed.
@@ -844,7 +797,7 @@ mod tests {
                         }
                     })
                     .collect();
-                outcomes.push(g.execute_block(txns).unwrap().outcomes);
+                outcomes.push(run(&mut g, txns).outcomes);
             }
             (outcomes, g.state_roots().unwrap())
         };

@@ -5,8 +5,11 @@
 //! block deterministically: the committed post-state is a pure function of
 //! (previous state, ordered block). This crate scales that property out by
 //! hash- or range-partitioning the keyspace ([`Partitioner`]) across
-//! independent execution shards ([`ShardGroup`]), each running its own
-//! `DccEngine` (any of the five systems) over its own `SnapshotStore`.
+//! independent execution shards. [`ShardGroup`] is the one shard host: it
+//! holds one `harmony_chain::OeChain` per shard (any of the five engines,
+//! opened by the caller in its sharded profile) and executes every
+//! planned block, for the replica in `harmony-node` and the experiment
+//! driver in `harmony-sim` alike.
 //!
 //! # Why determinism makes cross-shard commit coordination-free
 //!
@@ -42,18 +45,13 @@
 //! Tamper evidence survives sharding: each shard's state root is folded
 //! into a top-level root via `harmony_chain::sharded_state_root`.
 
-pub mod engines;
 pub mod group;
 pub mod metrics;
 pub mod partition;
 pub mod plan;
 pub mod router;
 
-pub use engines::ShardEngine;
-pub use group::{
-    decide_cross, logical_state_root, logical_table_heads, prune_to_owned, ShardBlockResult,
-    ShardGroup, ShardGroupConfig, ShardedRoot,
-};
+pub use group::{decide_cross, ShardBlockResult, ShardGroup, ShardedRoot};
 pub use metrics::PlannerMetrics;
 pub use partition::{
     HashPartitioner, Partitioner, Partitioning, PrefixPartitioner, RangePartitioner,

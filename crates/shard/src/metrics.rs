@@ -1,10 +1,10 @@
 //! Planner observability: what the cross-shard planner decided, per
 //! block.
 //!
-//! The handles live in the shard crate so both entry points — the
-//! standalone [`ShardGroup`](crate::ShardGroup) and the sharded replica
-//! node in `harmony-node` — report through the same family; the caller
-//! picks the static label set (e.g. `replica="2"`) at registration.
+//! The [`ShardGroup`](crate::ShardGroup) observes every block it plans,
+//! so the replica in `harmony-node` and the experiment driver report
+//! through the same family; the caller picks the static label set (e.g.
+//! `replica="2"`) at registration.
 
 use harmony_common::error::AbortReason;
 use harmony_core::executor::TxnOutcome;

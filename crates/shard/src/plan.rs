@@ -1,7 +1,6 @@
-//! The cross-shard planning stage, factored out of [`crate::ShardGroup`]
-//! so that any host of per-shard engines — the single-process shard group
-//! or the replicated sharded node runtime in `harmony-node` — runs the
-//! *same* deterministic protocol:
+//! The cross-shard planning stage that [`crate::ShardGroup`] runs before
+//! every planned block — the *same* deterministic protocol on every
+//! replica and in the experiment driver:
 //!
 //! 1. classify each transaction (single- vs multi-partition),
 //! 2. simulate multi-partition transactions once against a snapshot view

@@ -4,11 +4,17 @@
 //! shard group with N shards commits exactly the same transactions and
 //! reaches exactly the same logical state root as the 1-shard reference —
 //! i.e. sharding redistributes work without changing a single decision.
+//! Every shard's chain also keeps a verifiable sub-block log.
 
 use std::sync::Arc;
 
+use harmony_chain::{ChainConfig, OeChain};
+use harmony_common::BlockId;
+use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::TxnOutcome;
-use harmony_shard::{HashPartitioner, ShardEngine, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmony_core::HarmonyConfig;
+use harmony_shard::{FragmentCodec, HashPartitioner, ShardGroup, ShardRouter};
+use harmony_sim::EngineKind;
 use harmony_workloads::{Smallbank, SmallbankConfig, Workload, Ycsb, YcsbConfig};
 use proptest::prelude::*;
 
@@ -43,13 +49,26 @@ struct StreamResult {
     outcomes: Vec<Vec<TxnOutcome>>,
     root: harmony_crypto::Digest,
     cross_txns: usize,
+    /// Per shard: chain height and verified block-log length.
+    shard_logs: Vec<(BlockId, usize)>,
+}
+
+/// The five engines, in the paper's plotting order.
+fn engines() -> [EngineKind; 5] {
+    [
+        EngineKind::Fabric,
+        EngineKind::FastFabric,
+        EngineKind::Rbc,
+        EngineKind::Aria,
+        EngineKind::Harmony(HarmonyConfig::default()),
+    ]
 }
 
 /// Run `blocks` blocks of `block_size` transactions from a deterministic
 /// stream through a shard group, with abort-retry requeueing (so decision
 /// differences would compound into stream differences and be caught).
 fn run_stream(
-    engine: ShardEngine,
+    engine: EngineKind,
     shards: usize,
     mix: Mix,
     ratio: f64,
@@ -58,10 +77,27 @@ fn run_stream(
     block_size: usize,
 ) -> StreamResult {
     let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), shards);
-    let config = ShardGroupConfig::in_memory();
-    let mut group = ShardGroup::new(router, &config, |store| engine.build(store, 2)).unwrap();
+    let chains = (0..shards)
+        .map(|_| {
+            OeChain::open_with_factory(
+                ChainConfig {
+                    checkpoint_every: 0,
+                    ..ChainConfig::in_memory()
+                },
+                Arc::new(move |store, next, _| engine.build_sharded_at(store, 2, next)),
+            )
+            .unwrap()
+        })
+        .collect();
     let mut w = workload(mix, 200, ratio);
-    group.setup_with(|e| w.setup(e)).unwrap();
+    let mut group = ShardGroup::genesis(
+        chains,
+        |e| w.setup(e),
+        |_| Ok(router),
+        LatencyModel::lan_1g(),
+        8,
+    )
+    .unwrap();
 
     let mut rng = harmony_common::DetRng::new(seed);
     let mut retry: std::collections::VecDeque<Arc<dyn harmony_txn::Contract>> =
@@ -76,7 +112,7 @@ fn run_stream(
                 None => txns.push(w.next_txn(&mut rng)),
             }
         }
-        let result = group.execute_block(txns.clone()).unwrap();
+        let result = group.execute_block(txns.clone(), &FragmentCodec).unwrap();
         for (i, o) in result.outcomes.iter().enumerate() {
             if let TxnOutcome::Aborted(reason) = o {
                 if *reason != harmony_common::error::AbortReason::UserAbort {
@@ -95,10 +131,21 @@ fn run_stream(
         }
         outcomes.push(result.outcomes);
     }
+    let shard_logs = group
+        .chains()
+        .iter()
+        .map(|c| {
+            (
+                c.height(),
+                c.verify_chain().expect("sub-block log verifies").len(),
+            )
+        })
+        .collect();
     StreamResult {
         outcomes,
         root: group.logical_state_root().unwrap(),
         cross_txns,
+        shard_logs,
     }
 }
 
@@ -116,7 +163,7 @@ proptest! {
     ) {
         let mix = if mix_pick == 0 { Mix::Smallbank } else { Mix::Ycsb };
         let ratio = [0.0, 0.2, 0.5][ratio_pick];
-        for engine in ShardEngine::ALL {
+        for engine in engines() {
             let reference = run_stream(engine, 1, mix, ratio, seed, 4, 10);
             let sharded = run_stream(engine, shards, mix, ratio, seed, 4, 10);
             prop_assert_eq!(
@@ -132,6 +179,10 @@ proptest! {
                 engine.name(), shards, mix, ratio, seed
             );
             prop_assert_eq!(reference.cross_txns, sharded.cross_txns);
+            for (height, logged) in reference.shard_logs.iter().chain(&sharded.shard_logs) {
+                prop_assert_eq!(*height, BlockId(4), "shard chain off the stream height");
+                prop_assert_eq!(*logged, 4, "shard block log misses sub-blocks");
+            }
         }
     }
 
@@ -139,7 +190,7 @@ proptest! {
     /// group stays deterministic run-to-run.
     #[test]
     fn cross_path_is_exercised_and_deterministic(seed in 0u64..1_000_000) {
-        let run = || run_stream(ShardEngine::Harmony, 4, Mix::Smallbank, 0.5, seed, 4, 10);
+        let run = || run_stream(EngineKind::Harmony(HarmonyConfig::default()), 4, Mix::Smallbank, 0.5, seed, 4, 10);
         let a = run();
         let b = run();
         prop_assert!(a.cross_txns > 0, "ratio 0.5 must produce cross txns");

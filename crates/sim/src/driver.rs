@@ -3,181 +3,20 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::str::FromStr;
 use std::sync::Arc;
 
+use harmony_chain::{ChainConfig, OeChain};
 use harmony_common::{BlockId, DetRng, Result};
 use harmony_consensus::net::LatencyModel;
 use harmony_core::executor::{ExecBlock, TxnOutcome};
-use harmony_core::{BlockStats, HarmonyConfig, SnapshotStore};
-use harmony_dcc_baselines::{
-    Aria, AriaConfig, DccEngine, Fabric, FabricConfig, FastFabric, FastFabricConfig, HarmonyEngine,
-    Rbc,
-};
-use harmony_shard::{HashPartitioner, ShardEngine, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmony_core::{BlockStats, SnapshotStore};
+use harmony_shard::{FragmentCodec, HashPartitioner, ShardGroup, ShardRouter};
 use harmony_storage::{StorageConfig, StorageEngine};
 use harmony_txn::Contract;
 use harmony_workloads::Workload;
 
-use crate::sched::{makespan, pipeline_total_ns, schedule_block};
-
-/// Which engine to instantiate (the paper's five systems).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// HarmonyBC with the given toggles.
-    Harmony(HarmonyConfig),
-    /// AriaBC.
-    Aria,
-    /// RBC.
-    Rbc,
-    /// Fabric.
-    Fabric,
-    /// FastFabric#.
-    FastFabric,
-}
-
-impl EngineKind {
-    /// Display name matching the paper.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineKind::Harmony(_) => "HarmonyBC",
-            EngineKind::Aria => "AriaBC",
-            EngineKind::Rbc => "RBC",
-            EngineKind::Fabric => "Fabric",
-            EngineKind::FastFabric => "FastFabric#",
-        }
-    }
-
-    /// The engine in its sharded profile (see `harmony_shard::engines`),
-    /// preserving Harmony's ablation toggles apart from the inter-block
-    /// parallelism the profile forbids.
-    #[must_use]
-    pub fn build_sharded(&self, store: Arc<SnapshotStore>, workers: usize) -> Arc<dyn DccEngine> {
-        match self {
-            EngineKind::Harmony(config) => Arc::new(HarmonyEngine::new(
-                store,
-                HarmonyConfig {
-                    workers,
-                    inter_block_parallelism: false,
-                    ..*config
-                },
-            )),
-            EngineKind::Aria => ShardEngine::Aria.build(store, workers),
-            EngineKind::Rbc => ShardEngine::Rbc.build(store, workers),
-            EngineKind::Fabric => ShardEngine::Fabric.build(store, workers),
-            EngineKind::FastFabric => ShardEngine::FastFabric.build(store, workers),
-        }
-    }
-
-    /// The sharded profile positioned at an arbitrary next block — what a
-    /// sharded replica's per-shard chain factory uses on open, crash
-    /// recovery, and snapshot install. Harmony keeps its ablation toggles
-    /// (minus the inter-block parallelism the profile forbids, which also
-    /// makes a previous-block summary moot); the other engines delegate to
-    /// [`ShardEngine::build_at`].
-    #[must_use]
-    pub fn build_sharded_at(
-        &self,
-        store: Arc<SnapshotStore>,
-        workers: usize,
-        next_block: BlockId,
-    ) -> Arc<dyn DccEngine> {
-        match self {
-            EngineKind::Harmony(config) => Arc::new(HarmonyEngine::starting_at(
-                store,
-                HarmonyConfig {
-                    workers,
-                    inter_block_parallelism: false,
-                    ..*config
-                },
-                next_block,
-                None,
-            )),
-            EngineKind::Aria => ShardEngine::Aria.build_at(store, workers, next_block),
-            EngineKind::Rbc => ShardEngine::Rbc.build_at(store, workers, next_block),
-            EngineKind::Fabric => ShardEngine::Fabric.build_at(store, workers, next_block),
-            EngineKind::FastFabric => ShardEngine::FastFabric.build_at(store, workers, next_block),
-        }
-    }
-
-    /// Instantiate over a snapshot store.
-    #[must_use]
-    pub fn build(&self, store: Arc<SnapshotStore>, workers: usize) -> Arc<dyn DccEngine> {
-        self.build_at(store, workers, BlockId(1), None)
-    }
-
-    /// Instantiate positioned at an arbitrary next block — the recovery /
-    /// state-sync entry point. `prev_summary` seeds Harmony's Rule-3
-    /// inter-block validation (ignored by the other engines, whose rules
-    /// are per-block).
-    #[must_use]
-    pub fn build_at(
-        &self,
-        store: Arc<SnapshotStore>,
-        workers: usize,
-        next_block: BlockId,
-        prev_summary: Option<harmony_core::executor::BlockSummary>,
-    ) -> Arc<dyn DccEngine> {
-        match self {
-            EngineKind::Harmony(config) => {
-                let config = HarmonyConfig { workers, ..*config };
-                Arc::new(HarmonyEngine::starting_at(
-                    store,
-                    config,
-                    next_block,
-                    prev_summary,
-                ))
-            }
-            EngineKind::Aria => Arc::new(Aria::starting_at(
-                store,
-                AriaConfig {
-                    workers,
-                    reordering: true,
-                },
-                next_block,
-            )),
-            EngineKind::Rbc => Arc::new(Rbc::starting_at(store, workers, next_block)),
-            EngineKind::Fabric => Arc::new(Fabric::starting_at(
-                store,
-                FabricConfig {
-                    workers,
-                    ..FabricConfig::default()
-                },
-                next_block,
-            )),
-            EngineKind::FastFabric => Arc::new(FastFabric::starting_at(
-                store,
-                FastFabricConfig {
-                    fabric: FabricConfig {
-                        workers,
-                        ..FabricConfig::default()
-                    },
-                    ..FastFabricConfig::default()
-                },
-                next_block,
-            )),
-        }
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = harmony_common::Error;
-
-    /// Case-insensitive parse of the paper names (plus common short
-    /// forms): `HarmonyBC`/`harmony`, `AriaBC`/`aria`, `RBC`,
-    /// `Fabric`, `FastFabric#`/`fastfabric`. Delegates to
-    /// [`ShardEngine`]'s parser so the two selectors can never drift.
-    fn from_str(s: &str) -> Result<EngineKind, Self::Err> {
-        Ok(match s.parse::<ShardEngine>()? {
-            ShardEngine::Harmony => EngineKind::Harmony(HarmonyConfig::default()),
-            ShardEngine::Aria => EngineKind::Aria,
-            ShardEngine::Rbc => EngineKind::Rbc,
-            ShardEngine::Fabric => EngineKind::Fabric,
-            ShardEngine::FastFabric => EngineKind::FastFabric,
-        })
-    }
-}
+use crate::engines::EngineKind;
+use crate::sched::{flat_block_cost, planned_block_ns};
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -326,7 +165,8 @@ pub fn run_experiment(
 
     let mut rng = DetRng::new(config.seed);
     let mut totals = BlockStats::default();
-    let mut schedules = Vec::with_capacity(config.blocks);
+    let mut prev = None;
+    let (mut wall_ns, mut work_ns) = (0u64, 0u64);
     let mut retry: RetryQueue = VecDeque::new();
     // Latency bookkeeping: blocks-in-flight per committed txn.
     let mut committed_block_spans: Vec<(usize, usize)> = Vec::new();
@@ -345,20 +185,22 @@ pub fn run_experiment(
             &mut committed_block_spans,
         );
         totals.absorb(&result.stats);
-        let mut sched = schedule_block(&result, config.workers, dcc.commit_is_serial());
-        // Group commit: one log write + sync per block (logical block log
-        // for OE, physical write-set log for SOV).
-        sched.commit_ns += config.storage.log_sync_ns;
-        sched.commit_work_ns += config.storage.log_sync_ns;
-        sched.work_ns += config.storage.log_sync_ns;
-        schedules.push(sched);
+        let (sched, step_ns) = flat_block_cost(
+            prev.as_ref(),
+            &result,
+            dcc.as_ref(),
+            config.workers,
+            config.storage.log_sync_ns,
+        );
+        wall_ns += step_ns;
+        work_ns += sched.work_ns;
+        prev = Some(sched);
     }
 
-    let wall_ns = pipeline_total_ns(&schedules, dcc.pipeline_depth(), config.workers).max(1);
+    let wall_ns = wall_ns.max(1);
     let io = engine.io_snapshot().delta_since(&io_before);
     let mean_block_ns = wall_ns as f64 / config.blocks as f64;
     let latency_ms = mean_latency_ms(&committed_block_spans, mean_block_ns);
-    let work_ns: u64 = schedules.iter().map(|s| s.work_ns).sum();
     Ok(RunMetrics {
         system: Cow::Borrowed(kind.name()),
         throughput_tps: totals.committed as f64 / (wall_ns as f64 / 1e9),
@@ -404,30 +246,45 @@ impl Default for ShardRunConfig {
 }
 
 /// Run one sharded experiment: the workload's global transaction stream is
-/// routed across `shards` engine instances; single-shard sub-blocks run in
-/// parallel across shards, multi-partition transactions pay the modeled
+/// routed across a [`ShardGroup`] of `shards` chains (sharded-profile
+/// engines, no checkpoints); single-shard sub-blocks run in parallel
+/// across shards, multi-partition transactions pay the modeled
 /// fragment-exchange round plus a re-simulation stage.
 pub fn run_sharded_experiment(
     kind: EngineKind,
     workload: &mut dyn Workload,
     config: &ShardRunConfig,
 ) -> Result<RunMetrics> {
+    let workers = config.base.workers;
+    let chains = (0..config.shards)
+        .map(|_| {
+            let chain = ChainConfig {
+                storage: config.base.storage.clone(),
+                checkpoint_every: 0,
+                ..ChainConfig::default()
+            };
+            OeChain::open_with_factory(
+                chain,
+                Arc::new(move |store, next, _| kind.build_sharded_at(store, workers, next)),
+            )
+        })
+        .collect::<Result<Vec<_>>>()?;
     let router = ShardRouter::new(
         Arc::new(HashPartitioner::new(config.partitions)),
         config.shards,
     );
-    let group_config = ShardGroupConfig {
-        storage: config.base.storage.clone(),
-        latency: config.latency.clone(),
-        cross_workers: config.base.workers,
-    };
-    let mut group = ShardGroup::new(router, &group_config, |store| {
-        kind.build_sharded(store, config.base.workers)
-    })?;
-    group.setup_with(|engine| workload.setup(engine))?;
-    let commit_serial = (0..group.shards()).any(|s| group.dcc(s).commit_is_serial());
-    let io_before: Vec<_> = (0..group.shards())
-        .map(|s| group.engine(s).io_snapshot())
+    let mut group = ShardGroup::genesis(
+        chains,
+        |engine| workload.setup(engine),
+        |_| Ok(router),
+        config.latency.clone(),
+        workers,
+    )?;
+    let commit_serial = group.chain(0).dcc().commit_is_serial();
+    let io_before: Vec<_> = group
+        .chains()
+        .iter()
+        .map(|c| c.engine().io_snapshot())
         .collect();
 
     let mut rng = DetRng::new(config.base.seed);
@@ -438,7 +295,8 @@ pub fn run_sharded_experiment(
     let mut work_ns = 0u64;
     for b in 0..config.base.blocks {
         let (txns, born) = fill_block(&mut retry, workload, &mut rng, config.base.block_size, b);
-        let result = group.execute_block(txns.clone())?;
+        // The default codec only encodes the sub-blocks into the logs.
+        let result = group.execute_block(txns.clone(), &FragmentCodec)?;
         track_outcomes(
             &result.outcomes,
             &txns,
@@ -450,21 +308,12 @@ pub fn run_sharded_experiment(
         );
         totals.absorb(&result.stats);
 
-        // Cross stage (all shards in lockstep): fragment exchange + the
-        // deterministic re-simulation of multi-partition transactions.
-        let cross_ns = result.exchange_ns + makespan(&result.cross_sim_ns, config.base.workers);
-        // Shard stage: every shard executes its sub-block concurrently;
-        // each pays its own group-commit log sync.
-        let shard_stage = result
-            .shard_results
-            .iter()
-            .map(|r| {
-                schedule_block(r, config.base.workers, commit_serial).total_ns()
-                    + config.base.storage.log_sync_ns
-            })
-            .max()
-            .unwrap_or(0);
-        wall_ns += cross_ns + shard_stage;
+        wall_ns += planned_block_ns(
+            &result,
+            workers,
+            commit_serial,
+            config.base.storage.log_sync_ns,
+        );
         work_ns += result.stats.sim_ns_total
             + result.stats.commit_ns_total
             + config.base.storage.log_sync_ns * group.shards() as u64;
@@ -473,7 +322,7 @@ pub fn run_sharded_experiment(
 
     let mut io = harmony_storage::IoSnapshot::default();
     for (s, before) in io_before.iter().enumerate() {
-        io.absorb(&group.engine(s).io_snapshot().delta_since(before));
+        io.absorb(&group.chain(s).engine().io_snapshot().delta_since(before));
     }
     let mean_block_ns = wall_ns as f64 / config.base.blocks as f64;
     let latency_ms = mean_latency_ms(&committed_block_spans, mean_block_ns);
@@ -495,6 +344,7 @@ pub fn run_sharded_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_core::HarmonyConfig;
     use harmony_workloads::{Smallbank, SmallbankConfig, Ycsb, YcsbConfig};
 
     fn quick_config() -> RunConfig {

@@ -6,9 +6,12 @@
 //! turns per-transaction costs into block makespans and end-to-end
 //! throughput/latency:
 //!
+//! * [`engines`] — the engine selector ([`EngineKind`]): the five systems
+//!   in their full and sharded profiles.
 //! * [`sched`] — deterministic list-scheduling of simulation/commit tasks
 //!   onto `W` worker cores, serial-commit stages, centralized orderer
-//!   stages, and the 2-deep pipeline overlap of inter-block parallelism.
+//!   stages, the 2-deep pipeline overlap of inter-block parallelism, and
+//!   the flat and planned block-cost formulas the replica charges too.
 //! * [`driver`] — runs (engine × workload) for N blocks with abort-retry
 //!   requeueing and produces the paper's metrics (throughput, latency,
 //!   abort rate, CPU utilization, I/O counters).
@@ -17,10 +20,10 @@
 
 pub mod cluster;
 pub mod driver;
+pub mod engines;
 pub mod sched;
 
 pub use cluster::{ClusterMetrics, ClusterModel};
-pub use driver::{
-    run_experiment, run_sharded_experiment, EngineKind, RunConfig, RunMetrics, ShardRunConfig,
-};
-pub use sched::{makespan, pipeline_total_ns, schedule_block, BlockSchedule};
+pub use driver::{run_experiment, run_sharded_experiment, RunConfig, RunMetrics, ShardRunConfig};
+pub use engines::EngineKind;
+pub use sched::{flat_block_cost, makespan, planned_block_ns, schedule_block, BlockSchedule};

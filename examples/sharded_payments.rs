@@ -7,8 +7,12 @@
 
 use std::sync::Arc;
 
+use harmonybc::chain::{ChainConfig, OeChain};
 use harmonybc::common::DetRng;
-use harmonybc::shard::{HashPartitioner, ShardEngine, ShardGroup, ShardGroupConfig, ShardRouter};
+use harmonybc::consensus::net::LatencyModel;
+use harmonybc::core::HarmonyConfig;
+use harmonybc::shard::{FragmentCodec, HashPartitioner, ShardGroup, ShardRouter};
+use harmonybc::sim::EngineKind;
 use harmonybc::workloads::{Smallbank, SmallbankConfig, Workload};
 
 const SHARDS: usize = 4;
@@ -26,11 +30,28 @@ fn main() -> harmonybc::common::Result<()> {
         multi_partition_ratio: 0.10,
     });
 
+    // One in-memory chain per shard, each running Harmony in the sharded
+    // profile; every executed sub-block lands in its shard's block log.
+    let harmony = EngineKind::Harmony(HarmonyConfig::default());
+    let chains = (0..SHARDS)
+        .map(|_| {
+            OeChain::open_with_factory(
+                ChainConfig {
+                    checkpoint_every: 0,
+                    ..ChainConfig::in_memory()
+                },
+                Arc::new(move |store, next, _| harmony.build_sharded_at(store, 4, next)),
+            )
+        })
+        .collect::<harmonybc::common::Result<Vec<_>>>()?;
     let router = ShardRouter::new(Arc::new(HashPartitioner::new(PARTITIONS)), SHARDS);
-    let mut group = ShardGroup::new(router, &ShardGroupConfig::in_memory(), |store| {
-        ShardEngine::Harmony.build(store, 4)
-    })?;
-    group.setup_with(|engine| bank.setup(engine))?;
+    let mut group = ShardGroup::genesis(
+        chains,
+        |engine| bank.setup(engine),
+        |_| Ok(router),
+        LatencyModel::lan_1g(),
+        8,
+    )?;
 
     println!(
         "Smallbank on {SHARDS} shards ({PARTITIONS} logical partitions), \
@@ -40,7 +61,7 @@ fn main() -> harmonybc::common::Result<()> {
     let (mut committed, mut cross, mut cross_committed) = (0usize, 0usize, 0usize);
     let mut shard_committed = [0usize; SHARDS];
     for _ in 0..BLOCKS {
-        let result = group.execute_block(bank.next_block(&mut rng, BLOCK_SIZE))?;
+        let result = group.execute_block(bank.next_block(&mut rng, BLOCK_SIZE), &FragmentCodec)?;
         committed += result.stats.committed;
         cross += result.cross_txns;
         cross_committed += result.cross_committed;
